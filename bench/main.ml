@@ -783,11 +783,9 @@ let e14 () =
   let address = Framing.Unix_sock sock in
   let srv =
     Server.start
-      { Server.address; workers = 2; queue_depth = 32; engine = Engine.create ();
-        default_budget_ms = Some budget_ms; solve_workers = Some 1;
-        max_request_bytes = Server.default_max_request_bytes; slow_ms = None;
-        idle_timeout_ms = None; read_timeout_ms = None;
-        retry_after_ms = Server.default_retry_after_ms; max_worker_restarts = None;
+      { Server.frontend = Spp_server.Frontend.default address; workers = 2; queue_depth = 32;
+        engine = Engine.create (); default_budget_ms = Some budget_ms; solve_workers = Some 1;
+        slow_ms = None; retry_after_ms = Server.default_retry_after_ms; max_worker_restarts = None;
         deadline_floor_ms = Server.default_deadline_floor_ms }
   in
   let lats = Array.make connections [] in
@@ -839,7 +837,6 @@ let e15 () =
     "E15  Instrumentation overhead — identical workloads on an engine with\n\
     \    the metrics registry enabled vs. disabled (target: < 2% on hits)";
   let module Engine = Spp_engine.Engine in
-  let module Telemetry = Spp_engine.Telemetry in
   let module Metrics = Spp_obs.Metrics in
   let module Clock = Spp_util.Clock in
   let module Io = Spp_core.Io in
@@ -864,9 +861,7 @@ let e15 () =
     (computed_ms, Clock.elapsed_ms t0)
   in
   let off_engine () =
-    Engine.create
-      ~telemetry:(Telemetry.create ~metrics:(Metrics.create ~enabled:false ()) ())
-      ~cache_capacity:(2 * distinct) ()
+    Engine.create ~metrics:(Metrics.create ~enabled:false ()) ~cache_capacity:(2 * distinct) ()
   in
   let on_engine () = Engine.create ~cache_capacity:(2 * distinct) () in
   (* Warm-up pass so allocator/code paths are hot before either timing;
@@ -943,10 +938,9 @@ let e16 () =
   in
   let start_server tag =
     Server.start
-      { Server.address = Framing.Unix_sock (sock tag); workers = 1; queue_depth = 32;
-        engine = Engine.create (); default_budget_ms = Some budget_ms;
-        solve_workers = Some 1; max_request_bytes = Server.default_max_request_bytes;
-        slow_ms = None; idle_timeout_ms = None; read_timeout_ms = None;
+      { Server.frontend = Spp_server.Frontend.default (Framing.Unix_sock (sock tag));
+        workers = 1; queue_depth = 32; engine = Engine.create ();
+        default_budget_ms = Some budget_ms; solve_workers = Some 1; slow_ms = None;
         retry_after_ms = Server.default_retry_after_ms; max_worker_restarts = None;
         deadline_floor_ms = Server.default_deadline_floor_ms }
   in
@@ -1176,10 +1170,9 @@ let e19 () =
   in
   let start_server tag =
     Server.start
-      { Server.address = Framing.Unix_sock (sock tag); workers = 1; queue_depth = 32;
-        engine = Engine.create (); default_budget_ms = Some 50.0;
-        solve_workers = Some 1; max_request_bytes = Server.default_max_request_bytes;
-        slow_ms = None; idle_timeout_ms = None; read_timeout_ms = None;
+      { Server.frontend = Spp_server.Frontend.default (Framing.Unix_sock (sock tag));
+        workers = 1; queue_depth = 32; engine = Engine.create ();
+        default_budget_ms = Some 50.0; solve_workers = Some 1; slow_ms = None;
         retry_after_ms = Server.default_retry_after_ms; max_worker_restarts = None;
         deadline_floor_ms = Server.default_deadline_floor_ms }
   in

@@ -27,10 +27,10 @@ module I = Spp_core.Instance
 module Io = Spp_core.Io
 module Validate = Spp_core.Validate
 module Engine = Spp_engine.Engine
-module Telemetry = Spp_engine.Telemetry
 module Framing = Spp_server.Framing
 module Protocol = Spp_server.Protocol
 module Server = Spp_server.Server
+module Frontend = Spp_server.Frontend
 module Client = Spp_server.Client
 module Signals = Spp_server.Signals
 module Metrics_http = Spp_server.Metrics_http
@@ -203,7 +203,9 @@ let workers_arg =
 let stats_json_arg =
   Arg.(value & opt (some string) None
        & info [ "stats-json" ]
-           ~doc:"Write telemetry as JSON lines to this file ('-' for stderr).")
+           ~doc:"Write JSON lines to this file ('-' for stderr): one per solve run by this \
+                 command (winner, source, height, ms, per-member outcomes), then one per \
+                 engine counter.")
 
 let cache_dir_arg =
   Arg.(value & opt (some string) None
@@ -230,10 +232,41 @@ let make_engine ~cache_dir ~no_cache ~cache_max =
   let store_dir = if no_cache then None else (match cache_dir with Some d -> Some d | None -> default_cache_dir ()) in
   Engine.create ?store_dir ?store_max_entries:cache_max ()
 
-let write_stats engine = function
+let source_name = function
+  | Engine.Computed -> "computed"
+  | Engine.Memory_cache -> "cache.memory"
+  | Engine.Disk_cache -> "cache.disk"
+
+let result_json ?file (r : Engine.result) =
+  let outcome (o : Engine.outcome) =
+    Json.Obj
+      ([ ("solver", Json.String o.Engine.solver);
+         ("status", Json.String (Format.asprintf "%a" Engine.pp_status o.Engine.status));
+         ("ms", Json.Float o.Engine.time_ms) ]
+       @ match o.Engine.height with
+         | Some h -> [ ("height", Json.String (Q.to_string h)) ]
+         | None -> [])
+  in
+  Json.Obj
+    ((match file with Some f -> [ ("file", Json.String f) ] | None -> [])
+     @ [ ("winner", Json.String r.Engine.winner);
+         ("source", Json.String (source_name r.Engine.source));
+         ("height", Json.String (Q.to_string r.Engine.height));
+         ("ms", Json.Float r.Engine.time_ms); ("degraded", Json.Bool r.Engine.degraded);
+         ("outcomes", Json.List (List.map outcome r.Engine.outcomes)) ])
+
+(* --stats-json: the given per-solve objects, then every counter in the
+   engine's registry, one JSON object per line. *)
+let write_stats engine solves = function
   | None -> ()
   | Some path ->
-    let out = Telemetry.to_json_lines (Engine.telemetry engine) in
+    let counter (k, v) = Json.Obj [ ("counter", Json.String k); ("value", Json.Int v) ] in
+    let out =
+      String.concat ""
+        (List.map
+           (fun j -> Json.to_string j ^ "\n")
+           (solves @ List.map counter (Metrics.counters (Engine.metrics engine))))
+    in
     if path = "-" then prerr_string out
     else Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc out)
 
@@ -245,11 +278,7 @@ let run_engine_solve engine ?budget_ms ?algos ?workers parsed =
 
 let print_result (res : Engine.result) =
   Printf.printf "# winner %s\n" res.Engine.winner;
-  Printf.printf "# source %s\n"
-    (match res.Engine.source with
-     | Engine.Computed -> "computed"
-     | Engine.Memory_cache -> "cache.memory"
-     | Engine.Disk_cache -> "cache.disk");
+  Printf.printf "# source %s\n" (source_name res.Engine.source);
   List.iter
     (fun (o : Engine.outcome) ->
       Printf.printf "# solver %-6s %-9s%s  %.2fms\n" o.Engine.solver
@@ -268,12 +297,11 @@ let solve_cmd =
   let run file budget_ms algos workers stats_json cache_dir no_cache cache_max repeat =
     let parsed = read_instance file in
     let engine = make_engine ~cache_dir ~no_cache ~cache_max in
-    let res = ref None in
-    for _ = 1 to max 1 repeat do
-      res := Some (run_engine_solve engine ?budget_ms ?algos ?workers parsed)
-    done;
-    (match !res with Some r -> print_result r | None -> assert false);
-    write_stats engine stats_json
+    let results =
+      List.init (max 1 repeat) (fun _ -> run_engine_solve engine ?budget_ms ?algos ?workers parsed)
+    in
+    print_result (List.nth results (List.length results - 1));
+    write_stats engine (List.map result_json results) stats_json
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve with the portfolio engine (auto algorithm choice, budget, cache)")
@@ -347,10 +375,7 @@ let batch_cmd =
           Table.add_row t
             [ f; variant; string_of_int n; res.Engine.winner;
               Q.to_string res.Engine.height; Printf.sprintf "%.1f" res.Engine.time_ms;
-              (match res.Engine.source with
-               | Engine.Computed -> "computed"
-               | Engine.Memory_cache -> "cache.memory"
-               | Engine.Disk_cache -> "cache.disk") ])
+              source_name res.Engine.source ])
       results;
     let win_counts =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) wins []
@@ -364,7 +389,12 @@ let batch_cmd =
         Printf.sprintf "%.1f" wall_ms;
         Printf.sprintf "%d cache hit%s" !hits (if !hits = 1 then "" else "s") ];
     Table.print t;
-    write_stats engine stats_json;
+    write_stats engine
+      (List.filter_map
+         (fun (f, r) ->
+           match r with Ok (_, _, res) -> Some (result_json ~file:f res) | Error _ -> None)
+         results)
+      stats_json;
     if !failures > 0 then exit exit_parse_error
   in
   Cmd.v
@@ -896,14 +926,15 @@ let serve_cmd =
     let workers = match workers with Some w -> w | None -> max 1 available in
     let engine = make_engine ~cache_dir ~no_cache ~cache_max in
     let cfg =
-      { Server.address; workers; queue_depth; engine; default_budget_ms = budget_ms;
+      { Server.frontend =
+          { (Frontend.default address) with
+            idle_timeout_ms = (if idle_timeout_ms > 0.0 then Some idle_timeout_ms else None);
+            read_timeout_ms = (if read_timeout_ms > 0.0 then Some read_timeout_ms else None) };
+        workers; queue_depth; engine; default_budget_ms = budget_ms;
         (* Each worker races portfolio members on its own domains; narrow the
            per-solve width so workers * racers stays near the core count. *)
-        solve_workers = Some (max 1 (available / workers));
-        max_request_bytes = Server.default_max_request_bytes; slow_ms;
-        idle_timeout_ms = (if idle_timeout_ms > 0.0 then Some idle_timeout_ms else None);
-        read_timeout_ms = (if read_timeout_ms > 0.0 then Some read_timeout_ms else None);
-        retry_after_ms; max_worker_restarts; deadline_floor_ms }
+        solve_workers = Some (max 1 (available / workers)); slow_ms; retry_after_ms;
+        max_worker_restarts; deadline_floor_ms }
     in
     let srv =
       try Server.start cfg with
@@ -916,8 +947,7 @@ let serve_cmd =
       match metrics_port with
       | None -> None
       | Some p -> (
-        let registry = Telemetry.metrics (Engine.telemetry engine) in
-        try Some (Metrics_http.start ~port:p registry) with
+        try Some (Metrics_http.start ~port:p (Engine.metrics engine)) with
         | Unix.Unix_error (e, _, _) ->
           Printf.eprintf "error: cannot bind metrics port %d: %s\n" p (Unix.error_message e);
           Server.stop srv;
@@ -927,7 +957,7 @@ let serve_cmd =
     (* GC / CPU gauges only matter where a scraper can see them. *)
     let sampler =
       Option.map
-        (fun _ -> Spp_obs.Runtime.start (Telemetry.metrics (Engine.telemetry engine)))
+        (fun _ -> Spp_obs.Runtime.start (Engine.metrics engine))
         scrape
     in
     Printf.eprintf "spp serve: listening on %s (%d worker%s, queue depth %d)\n%!"
@@ -940,7 +970,7 @@ let serve_cmd =
     Option.iter Spp_obs.Runtime.stop sampler;
     Option.iter Metrics_http.stop scrape;
     Printf.eprintf "spp serve: drained, exiting\n%!";
-    write_stats engine stats_json
+    write_stats engine [] stats_json
   in
   Cmd.v
     (Cmd.info "serve"

@@ -1,5 +1,6 @@
 module Client = Spp_server.Client
 module Framing = Spp_server.Framing
+module Frontend = Spp_server.Frontend
 module Json = Spp_server.Json
 module Bqueue = Spp_server.Bqueue
 module Deadline = Spp_util.Deadline
@@ -17,7 +18,7 @@ module Field = Spp_obs.Field
 type hedge_policy = Hedge_off | Hedge_auto | Hedge_fixed of float
 
 type config = {
-  address : Framing.address;
+  frontend : Frontend.config;
   backends : Framing.address list;
   replicas : int;
   cache_capacity : int;
@@ -36,8 +37,8 @@ type config = {
 }
 
 let default_config ~address ~backends () =
-  { address; backends; replicas = Ring.default_replicas; cache_capacity = 512;
-    pool_size = Upstream.default_pool_size; upstream_timeout_ms = Some 5_000.0;
+  { frontend = Frontend.default address; backends; replicas = Ring.default_replicas;
+    cache_capacity = 512; pool_size = Upstream.default_pool_size; upstream_timeout_ms = Some 5_000.0;
     failover = 2; probe_interval_ms = 1_000.0; fail_after = 3; revive_after = 2;
     registry = Metrics.create (); seed = 0; hedge = Hedge_off;
     breaker_window = Breaker.default_window; breaker_threshold = Breaker.default_threshold;
@@ -63,18 +64,14 @@ type backend = {
 
 type instruments = {
   reg : Metrics.t;
-  m_connections : Metrics.counter;
   m_coalesced : Metrics.counter;
   m_cache_hits : Metrics.counter;
   m_cache_misses : Metrics.counter;
-  m_request_ms : Metrics.histogram;
   m_upstream_ms : Metrics.histogram;
   m_hedges : Metrics.counter;
   m_hedge_wins : Metrics.counter;
   m_deadline_rejects : Metrics.counter;
 }
-
-type conn = { fd : Unix.file_descr }
 
 type t = {
   cfg : config;
@@ -84,14 +81,8 @@ type t = {
   mutable ring : Ring.t;  (* live members only *)
   cache : Protocol.solve_reply Lru.t option;
   coalesce : Protocol.response Coalesce.t;
-  listen_fd : Unix.file_descr;
-  stopping : bool Atomic.t;
-  lock : Mutex.t;  (* guards conns and threads *)
-  mutable conns : conn list;
-  mutable threads : Thread.t list;
-  mutable acceptor : Thread.t option;
+  fe : Frontend.t;
   mutable prober : Thread.t option;
-  started_ms : float;
   mx : instruments;
 }
 
@@ -187,13 +178,13 @@ let prober_loop t =
   let prev = ref base in
   (* Sleep in short slices so a drain is noticed within ~50 ms. *)
   let rec nap ms =
-    if ms > 0.0 && not (Atomic.get t.stopping) then begin
+    if ms > 0.0 && not (Frontend.stopping t.fe) then begin
       Unix.sleepf (Float.min 0.05 (ms /. 1000.0));
       nap (ms -. 50.0)
     end
   in
-  while not (Atomic.get t.stopping) do
-    Array.iter (fun b -> if not (Atomic.get t.stopping) then probe_backend t b) t.backends;
+  while not (Frontend.stopping t.fe) do
+    Array.iter (fun b -> if not (Frontend.stopping t.fe) then probe_backend t b) t.backends;
     let any_down =
       Mutex.lock t.health_mu;
       let d = Array.exists (fun b -> not b.alive) t.backends in
@@ -474,11 +465,6 @@ let upstream_solve t ~fp ~instance ~budget_ms ~deadline ~algos ~trace =
 (* ------------------------------------------------------------------ *)
 (* Request handling *)
 
-let count_op t op =
-  Metrics.incr
-    (Metrics.counter t.mx.reg ~help:"Requests received by op" ~labels:[ ("op", op) ]
-       "spp_proxy_ops_total")
-
 let snoop t fp = function
   | Protocol.Solve_ok r when not r.Protocol.degraded ->
     (* A replayed trace would be a lie — cache the reply without it.
@@ -506,241 +492,94 @@ let handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
      it, and each upstream launch forwards only what then remains. *)
   let deadline = Deadline.of_request deadline_ms in
   let trace = Option.map (fun id -> Trace.create ~id ~name:"proxy" ()) trace_id in
-  if Atomic.get t.stopping then
-    ( Protocol.Error
-        { code = Protocol.Shutting_down; message = "proxy is draining"; retry_after_ms = None },
+  match Io.parse_string instance with
+  | exception Failure msg ->
+    ( Protocol.Error { code = Protocol.Bad_instance; message = msg; retry_after_ms = None },
       trace )
-  else
-    match Io.parse_string instance with
-    | exception Failure msg ->
-      ( Protocol.Error { code = Protocol.Bad_instance; message = msg; retry_after_ms = None },
-        trace )
-    | parsed ->
-      let fp = Fingerprint.parsed parsed in
-      let cached =
-        match t.cache with
-        | None -> None
-        | Some lru ->
-          let hit = Lru.find lru fp in
-          Metrics.incr (if hit = None then t.mx.m_cache_misses else t.mx.m_cache_hits);
-          hit
-      in
-      Option.iter
-        (fun tr ->
-          let s = Trace.span tr ~parent:(Trace.root tr) "route" in
-          Trace.finish
-            ~fields:
-              [ ("fingerprint", Field.String fp);
-                ("cache", Field.String (if cached = None then "miss" else "hit")) ]
-            tr s)
-        trace;
-      (match cached with
-       | Some r ->
-         (* A warm hit is served whatever the deadline says — the answer
-            is already in hand, and instantly beats "won't make it". *)
-         ( Protocol.Solve_ok
-             (embed_trace trace { r with Protocol.source = "cache.proxy"; trace_id }),
-           trace )
-       | None
-         when (match deadline with Some d -> Deadline.expired d | None -> false) ->
-         (* Nothing cached and no time left to ask a backend: fast-fail
-            here rather than burn an upstream call on a reply the client
-            will never wait for. *)
-         Metrics.incr t.mx.m_deadline_rejects;
-         ( Protocol.Error
-             { code = Protocol.Wont_make_it; message = "deadline exhausted at the proxy";
-               retry_after_ms = Some (int_of_float t.cfg.probe_interval_ms) },
-           trace )
-       | None ->
-         let lead () = upstream_solve t ~fp ~instance ~budget_ms ~deadline ~algos ~trace in
-         let outcome =
-           match trace with
-           | None -> Coalesce.run t.coalesce fp lead
-           | Some tr ->
-             Trace.with_span tr ~parent:(Trace.root tr) "coalesce.wait" (fun s ->
-                 let o = Coalesce.run t.coalesce fp lead in
-                 Trace.add_fields tr s
-                   [ ( "role",
-                       Field.String (match o with `Led _ -> "led" | `Joined _ -> "joined") ) ];
-                 o)
-         in
-         let resp =
-           match outcome with
-           | `Led (r, _) -> snoop t fp r; r
-           | `Joined r -> Metrics.incr t.mx.m_coalesced; r
-         in
-         let resp =
-           match resp with
-           | Protocol.Solve_ok r ->
-             Protocol.Solve_ok (embed_trace trace { r with Protocol.trace_id = trace_id })
-           | other -> other
-         in
-         (resp, trace))
-
-let histograms_of reg =
-  List.filter_map
-    (fun (s : Metrics.sample) ->
-      match s.value with
-      | Metrics.Histogram h when s.labels = [] ->
-        Some
-          ( s.name,
-            { Protocol.count = h.Metrics.total; sum = h.Metrics.sum;
-              p50 = Metrics.hist_quantile h 0.5; p90 = Metrics.hist_quantile h 0.9;
-              p99 = Metrics.hist_quantile h 0.99; buckets = h.Metrics.buckets } )
-      | _ -> None)
-    (Metrics.snapshot reg)
+  | parsed ->
+    let fp = Fingerprint.parsed parsed in
+    let cached =
+      match t.cache with
+      | None -> None
+      | Some lru ->
+        let hit = Lru.find lru fp in
+        Metrics.incr (if hit = None then t.mx.m_cache_misses else t.mx.m_cache_hits);
+        hit
+    in
+    Option.iter
+      (fun tr ->
+        let s = Trace.span tr ~parent:(Trace.root tr) "route" in
+        Trace.finish
+          ~fields:
+            [ ("fingerprint", Field.String fp);
+              ("cache", Field.String (if cached = None then "miss" else "hit")) ]
+          tr s)
+      trace;
+    (match cached with
+     | Some r ->
+       (* A warm hit is served whatever the deadline says — the answer
+          is already in hand, and instantly beats "won't make it". *)
+       ( Protocol.Solve_ok
+           (embed_trace trace { r with Protocol.source = "cache.proxy"; trace_id }),
+         trace )
+     | None
+       when (match deadline with Some d -> Deadline.expired d | None -> false) ->
+       (* Nothing cached and no time left to ask a backend: fast-fail
+          here rather than burn an upstream call on a reply the client
+          will never wait for. *)
+       Metrics.incr t.mx.m_deadline_rejects;
+       ( Protocol.Error
+           { code = Protocol.Wont_make_it; message = "deadline exhausted at the proxy";
+             retry_after_ms = Some (int_of_float t.cfg.probe_interval_ms) },
+         trace )
+     | None ->
+       let lead () = upstream_solve t ~fp ~instance ~budget_ms ~deadline ~algos ~trace in
+       let outcome =
+         match trace with
+         | None -> Coalesce.run t.coalesce fp lead
+         | Some tr ->
+           Trace.with_span tr ~parent:(Trace.root tr) "coalesce.wait" (fun s ->
+               let o = Coalesce.run t.coalesce fp lead in
+               Trace.add_fields tr s
+                 [ ( "role",
+                     Field.String (match o with `Led _ -> "led" | `Joined _ -> "joined") ) ];
+               o)
+       in
+       let resp =
+         match outcome with
+         | `Led (r, _) -> snoop t fp r; r
+         | `Joined r -> Metrics.incr t.mx.m_coalesced; r
+       in
+       let resp =
+         match resp with
+         | Protocol.Solve_ok r ->
+           Protocol.Solve_ok (embed_trace trace { r with Protocol.trace_id = trace_id })
+         | other -> other
+       in
+       (resp, trace))
 
 (* The proxy answers [metrics] from its own registry. [workers] reports
    live backends and [queue_length] open coalesced flights — the closest
    cluster analogues of the single-server fields. *)
-let metrics t =
+let metrics t (m : Protocol.metrics_reply) =
   let cache =
     match t.cache with
     | Some lru ->
       let s = Lru.stats lru in
       { Protocol.size = s.Lru.size; capacity = Lru.capacity lru; hits = s.Lru.hits;
         misses = s.Lru.misses; evictions = s.Lru.evictions }
-    | None -> { Protocol.size = 0; capacity = 0; hits = 0; misses = 0; evictions = 0 }
+    | None -> m.cache
   in
-  Protocol.Metrics_ok
-    { uptime_ms = Clock.elapsed_ms t.started_ms; counters = Metrics.counters t.mx.reg;
-      cache; store_dir = None; workers = List.length (live_backends t);
-      queue_length = Coalesce.in_flight t.coalesce; queue_capacity = 0;
-      histograms = histograms_of t.mx.reg; algos = [] }
+  { m with cache; workers = List.length (live_backends t);
+    queue_length = Coalesce.in_flight t.coalesce }
 
-let health t =
-  Protocol.Health_ok
-    { uptime_s = Clock.elapsed_ms t.started_ms /. 1000.0;
-      cache_capacity = (match t.cache with Some lru -> Lru.capacity lru | None -> 0) }
-
-let stop t = Atomic.set t.stopping true
-
-let respond t line =
-  match Protocol.decode_request line with
-  | Error msg ->
-    count_op t "invalid";
-    (Protocol.Error { code = Protocol.Parse; message = msg; retry_after_ms = None }, None)
-  | Ok Protocol.Health ->
-    count_op t "health";
-    (health t, None)
-  | Ok Protocol.Metrics ->
-    count_op t "metrics";
-    (metrics t, None)
-  | Ok Protocol.Shutdown ->
-    (* Drains the proxy only — backends belong to whoever started them. *)
-    count_op t "shutdown";
-    Log.info "shutdown requested" [];
-    stop t;
-    (Protocol.Shutdown_ok, None)
-  | Ok (Protocol.Solve { instance; budget_ms; deadline_ms; algos; trace_id }) ->
-    count_op t "solve";
-    handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id
-
-(* ------------------------------------------------------------------ *)
-(* Connections (same shape as Server: acceptor + thread per connection) *)
-
-let unregister t conn =
-  Mutex.lock t.lock;
-  t.conns <- List.filter (fun c -> c != conn) t.conns;
-  Mutex.unlock t.lock
-
-let finish_trace trace =
-  Option.iter
-    (fun tr ->
-      Trace.close tr;
-      if Log.enabled Log.Debug then
-        Log.debug "proxy request"
-          [ ("trace_id", Field.String (Trace.id tr));
-            ("ms", Field.Float (Trace.total_ms tr));
-            ("trace", Field.String (Trace.to_json tr)) ])
-    trace
-
-let serve_conn t conn =
-  Metrics.incr t.mx.m_connections;
-  let reader = Framing.reader conn.fd in
-  let send resp =
-    try
-      Framing.write_line conn.fd (Protocol.encode_response resp);
-      true
-    with Unix.Unix_error _ | Sys_error _ -> false
-  in
-  let rec loop () =
-    match Framing.read_line reader with
-    | None -> ()
-    | exception Framing.Line_too_long ->
-      ignore
-        (send
-           (Protocol.Error
-              { code = Protocol.Parse;
-                message =
-                  Printf.sprintf "request exceeds %d bytes" Framing.default_max_line;
-                retry_after_ms = None }))
-    | exception (Unix.Unix_error _ | Sys_error _) -> ()
-    | Some line when String.trim line = "" -> if not (Atomic.get t.stopping) then loop ()
-    | Some line ->
-      let t0 = Clock.now_ms () in
-      let resp, trace = respond t line in
-      let written = send resp in
-      finish_trace trace;
-      Metrics.observe t.mx.m_request_ms (Clock.elapsed_ms t0);
-      if written && not (Atomic.get t.stopping) then loop ()
-  in
-  (try loop () with _ -> ());
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  unregister t conn
-
-let accept_loop t =
-  let fd = t.listen_fd in
-  Unix.set_nonblock fd;
-  let rec loop () =
-    if not (Atomic.get t.stopping) then begin
-      (match Unix.select [ fd ] [] [] 0.05 with
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       | [], _, _ -> ()
-       | _ :: _, _, _ -> (
-         match Unix.accept ~cloexec:true fd with
-         | exception
-             Unix.Unix_error
-               ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-           ()
-         | cfd, _ ->
-           if Atomic.get t.stopping then (try Unix.close cfd with Unix.Unix_error _ -> ())
-           else begin
-             let conn = { fd = cfd } in
-             Mutex.lock t.lock;
-             t.conns <- conn :: t.conns;
-             t.threads <- Thread.create (fun () -> serve_conn t conn) () :: t.threads;
-             Mutex.unlock t.lock
-           end));
-      loop ()
-    end
-  in
-  loop ();
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  (match t.cfg.address with
-   | Framing.Unix_sock path -> (
-     try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-   | Framing.Tcp _ -> ());
-  Mutex.lock t.lock;
-  let conns = t.conns in
-  Mutex.unlock t.lock;
-  List.iter
-    (fun c -> try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    conns;
-  Mutex.lock t.lock;
-  let threads = t.threads in
-  t.threads <- [];
-  Mutex.unlock t.lock;
-  List.iter Thread.join threads;
-  Log.info "proxy drained" []
+let stop t = Frontend.stop t.fe
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
 let instruments reg =
   { reg;
-    m_connections =
-      Metrics.counter reg ~help:"Client connections accepted" "spp_proxy_connections_total";
     m_coalesced =
       Metrics.counter reg
         ~help:"Solve requests served by joining another request's in-flight upstream call"
@@ -751,9 +590,6 @@ let instruments reg =
     m_cache_misses =
       Metrics.counter reg ~help:"Solve requests that missed the proxy warm cache"
         "spp_proxy_cache_misses_total";
-    m_request_ms =
-      Metrics.histogram reg ~help:"Wall-clock per proxied request, receipt to reply (ms)"
-        "spp_proxy_request_ms";
     m_upstream_ms =
       Metrics.histogram reg ~help:"Upstream solve latency over all backends (ms)"
         "spp_proxy_upstream_ms";
@@ -799,7 +635,10 @@ let start (cfg : config) =
   Array.iter (fun b -> Hashtbl.replace by_name (Upstream.name b.up) b) backends;
   if Hashtbl.length by_name <> Array.length backends then
     invalid_arg "Proxy.start: duplicate backend address";
-  let listen_fd = Framing.listen cfg.address in
+  let fe =
+    Frontend.create ~name:"proxy" ~prefix:"spp_proxy" ~ops:"spp_proxy_ops_total" cfg.registry
+      cfg.frontend
+  in
   let t =
     { cfg; backends; by_name; health_mu = Mutex.create ();
       ring =
@@ -808,9 +647,7 @@ let start (cfg : config) =
       cache =
         (if cfg.cache_capacity = 0 then None
          else Some (Lru.create ~capacity:cfg.cache_capacity));
-      coalesce = Coalesce.create (); listen_fd; stopping = Atomic.make false;
-      lock = Mutex.create (); conns = []; threads = []; acceptor = None; prober = None;
-      started_ms = Clock.now_ms (); mx = instruments cfg.registry }
+      coalesce = Coalesce.create (); fe; prober = None; mx = instruments cfg.registry }
   in
   Metrics.gauge_fn cfg.registry ~help:"Backends currently in the routing ring"
     "spp_proxy_ring_size" (fun () -> float_of_int (Ring.size (current_ring t)));
@@ -818,8 +655,6 @@ let start (cfg : config) =
     "spp_proxy_backends" (fun () -> float_of_int (Array.length t.backends));
   Metrics.gauge_fn cfg.registry ~help:"Coalesced upstream flights currently open"
     "spp_proxy_inflight_flights" (fun () -> float_of_int (Coalesce.in_flight t.coalesce));
-  Metrics.gauge_fn cfg.registry ~help:"Seconds since the proxy started"
-    "spp_proxy_uptime_seconds" (fun () -> Clock.elapsed_ms t.started_ms /. 1000.0);
   Array.iter
     (fun b ->
       Metrics.gauge_fn cfg.registry
@@ -827,16 +662,20 @@ let start (cfg : config) =
         ~labels:[ ("backend", Upstream.name b.up) ] "spp_breaker_state"
         (fun () -> Breaker.state_value b.brk))
     backends;
-  t.acceptor <- Some (Thread.create (fun () -> accept_loop t) ());
+  Frontend.serve fe
+    { solve = handle_solve t;
+      cache_capacity = (match t.cache with Some lru -> Lru.capacity lru | None -> 0);
+      metrics = metrics t };
   t.prober <- Some (Thread.create (fun () -> prober_loop t) ());
   Log.info "proxy listening"
-    [ ("address", Field.String (Framing.address_to_string cfg.address));
+    [ ("address", Field.String (Framing.address_to_string cfg.frontend.address));
       ("backends", Field.Int (Array.length backends));
       ("replicas", Field.Int cfg.replicas);
       ("cache_capacity", Field.Int cfg.cache_capacity) ];
   t
 
 let wait t =
-  (match t.acceptor with Some th -> Thread.join th | None -> ());
+  Frontend.wait t.fe;
   (match t.prober with Some th -> Thread.join th | None -> ());
-  Array.iter (fun b -> Upstream.close b.up) t.backends
+  Array.iter (fun b -> Upstream.close b.up) t.backends;
+  Log.info "proxy drained" []

@@ -1,5 +1,8 @@
 (** The `spp proxy` front tier: one NDJSON endpoint over a ring of
-    `spp serve` backends.
+    `spp serve` backends. Connections, their deadlines and size limit, and
+    the [health] / [metrics] / [shutdown] ops are the shared
+    {!Spp_server.Frontend} (series prefix [spp_proxy], ops counter
+    [spp_proxy_ops_total]); this module is its [solve] handler.
 
     {v
     clients --ndjson--> proxy ---+--> backend A (spp serve)
@@ -59,6 +62,8 @@
 
     [metrics] and [health] ops are answered locally from the proxy's own
     registry; [shutdown] drains the proxy and never propagates upstream.
+    Idle and trickling clients are reaped and oversized lines refused
+    exactly as by `spp serve` ([spp_proxy_connections_reaped_total]).
 
     Fault points: [proxy.upstream] (in {!Upstream.call}), [proxy.health]
     (fails individual probes) and [proxy.hedge] (suppresses a hedged
@@ -70,7 +75,7 @@
 type hedge_policy = Hedge_off | Hedge_auto | Hedge_fixed of float
 
 type config = {
-  address : Spp_server.Framing.address;  (** front listen address *)
+  frontend : Spp_server.Frontend.config;  (** front listen address and connection limits *)
   backends : Spp_server.Framing.address list;  (** at least one *)
   replicas : int;  (** ring vnodes per backend, see {!Ring} *)
   cache_capacity : int;  (** snoop-LRU entries; [0] disables the cache *)
@@ -94,9 +99,9 @@ type config = {
   breaker_cooldown_ms : float;  (** open time before the half-open probe *)
 }
 
-(** Defaults: 64 replicas, 512 cache entries, pool of 2, 5 s upstream
-    timeout, failover 2, 1 s probes, fail after 3, revive after 2,
-    seed 0, hedging off, breaker 5-of-8 with a 5 s cooldown. [registry]
+(** Defaults: {!Spp_server.Frontend.default} on [address], 64 replicas,
+    512 cache entries, pool of 2, 5 s upstream timeout, failover 2, 1 s
+    probes, fail after 3, revive after 2, seed 0, hedging off, breaker 5-of-8 with a 5 s cooldown. [registry]
     is fresh and enabled. *)
 val default_config :
   address:Spp_server.Framing.address ->
@@ -104,8 +109,8 @@ val default_config :
 
 type t
 
-(** [start cfg] binds the front address, spawns the acceptor and prober
-    threads, and returns immediately. All backends start presumed live;
+(** [start cfg] binds the front address, spawns the front end's acceptor
+    and the prober thread, and returns immediately. All backends start presumed live;
     the first probe cycle corrects that within roughly
     [probe_interval_ms].
     @raise Invalid_argument on an empty backend list or nonsensical

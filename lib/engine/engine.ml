@@ -37,10 +37,31 @@ type result = {
 
 type entry = { e_placement : Placement.t; e_height : Q.t; e_winner : string }
 
+(* The dotted run counters ([cache.hit], [solve.runs], ...) are plain
+   registry counters under their historical names: [spp client metrics]
+   reports them and CI greps [cache.hit]. *)
+type counters = {
+  runs : Metrics.counter;
+  hit : Metrics.counter;
+  hit_memory : Metrics.counter;
+  hit_disk : Metrics.counter;
+  miss : Metrics.counter;
+  solved : Metrics.counter;
+  timeout : Metrics.counter;
+  invalid : Metrics.counter;
+  failed : Metrics.counter;
+  incumbent : Metrics.counter;
+  fallback : Metrics.counter;
+  degraded : Metrics.counter;
+  incumbent_skipped : Metrics.counter;
+  store_write_failed : Metrics.counter;
+}
+
 type t = {
   cache : entry Lru.t;
   store : Store.t option;
-  tm : Telemetry.t;
+  reg : Metrics.t;
+  c : counters;
   m_solve_ms : Metrics.histogram;
   m_cancel_polls : Metrics.counter;
 }
@@ -49,13 +70,12 @@ type t = {
    nodes (seed met the bound) to ~1e6 (n=7 worst case). *)
 let profile_buckets = [| 1.0; 10.0; 100.0; 1_000.0; 10_000.0; 100_000.0; 1_000_000.0 |]
 
-let create ?(cache_capacity = 128) ?store_dir ?store_max_entries ?telemetry () =
+let create ?(cache_capacity = 128) ?store_dir ?store_max_entries ?metrics () =
   let cache = Lru.create ~capacity:cache_capacity in
   let store =
     Option.map (fun dir -> Store.create ?max_entries:store_max_entries ~dir ()) store_dir
   in
-  let tm = Option.value telemetry ~default:(Telemetry.create ()) in
-  let reg = Telemetry.metrics tm in
+  let reg = match metrics with Some m -> m | None -> Metrics.create () in
   Metrics.counter_fn reg ~help:"In-memory LRU evictions" "spp_cache_evictions_total"
     (fun () -> (Lru.stats cache).Lru.evictions);
   Metrics.gauge_fn reg ~help:"Entries in the in-memory LRU" "spp_cache_entries"
@@ -90,14 +110,25 @@ let create ?(cache_capacity = 128) ?store_dir ?store_max_entries ?telemetry () =
   ignore
     (Metrics.histogram reg ~help:"Branch-and-bound nodes expanded per solve"
        ~buckets:profile_buckets "spp_bb_nodes");
-  { cache; store; tm;
+  let counter = Metrics.counter reg in
+  let c =
+    { runs = counter "solve.runs"; hit = counter "cache.hit";
+      hit_memory = counter "cache.hit.memory"; hit_disk = counter "cache.hit.disk";
+      miss = counter "cache.miss"; solved = counter "solver.solved";
+      timeout = counter "solver.timeout"; invalid = counter "solver.invalid";
+      failed = counter "solver.failed"; incumbent = counter "solver.incumbent";
+      fallback = counter "solver.fallback"; degraded = counter "solve.degraded";
+      incumbent_skipped = counter "incumbent.skipped";
+      store_write_failed = counter "store.write.failed" }
+  in
+  { cache; store; reg; c;
     m_solve_ms =
       Metrics.histogram reg ~help:"End-to-end solve latency in milliseconds" "spp_solve_ms";
     m_cancel_polls =
       Metrics.counter reg ~help:"Cancellation points reached by raced solvers"
         "spp_cancel_polls_total" }
 
-let telemetry t = t.tm
+let metrics t = t.reg
 let cache_stats t = Lru.stats t.cache
 let cache_capacity t = Lru.capacity t.cache
 let store_dir t = Option.map Store.dir t.store
@@ -109,11 +140,11 @@ let pp_status fmt = function
   | Failed msg -> Format.fprintf fmt "failed(%s)" msg
   | Skipped reason -> Format.fprintf fmt "skipped(%s)" reason
 
-let status_counter = function
-  | Solved -> Some "solver.solved"
-  | Timed_out -> Some "solver.timeout"
-  | Invalid -> Some "solver.invalid"
-  | Failed _ -> Some "solver.failed"
+let status_counter c = function
+  | Solved -> Some c.solved
+  | Timed_out -> Some c.timeout
+  | Invalid -> Some c.invalid
+  | Failed _ -> Some c.failed
   | Skipped _ -> None
 
 let status_label = function
@@ -212,28 +243,20 @@ let race_one parsed cancel incumbent trace (spec : Portfolio.spec) =
   | exception e -> finish (Failed (Printexc.to_string e)) None None
 
 let record_outcome t (o : outcome) =
-  Option.iter (Telemetry.incr t.tm) (status_counter o.status);
-  (match o.status with
-   | Skipped _ -> ()
-   | status ->
-     Metrics.incr
-       (Metrics.counter (Telemetry.metrics t.tm)
-          ~help:"Raced solver outcomes by algorithm"
-          ~labels:[ ("algo", o.solver); ("outcome", status_label status) ]
-          "spp_algo_outcomes_total"));
-  Telemetry.record t.tm ~name:"solver"
-    ([ ("solver", Telemetry.String o.solver);
-       ("status", Telemetry.String (Format.asprintf "%a" pp_status o.status));
-       ("ms", Telemetry.Float o.time_ms) ]
-     @ match o.height with
-       | Some h -> [ ("height", Telemetry.String (Q.to_string h)) ]
-       | None -> [])
+  Option.iter Metrics.incr (status_counter t.c o.status);
+  match o.status with
+  | Skipped _ -> ()
+  | status ->
+    Metrics.incr
+      (Metrics.counter t.reg ~help:"Raced solver outcomes by algorithm"
+         ~labels:[ ("algo", o.solver); ("outcome", status_label status) ]
+         "spp_algo_outcomes_total")
 
 (* Fold one raced member's ambient-profile snapshot into the labelled
    solver-introspection series. *)
 let record_profile t algo (p : Spp_obs.Profile.snapshot) =
   if not (Spp_obs.Profile.is_zero p) then begin
-    let reg = Telemetry.metrics t.tm in
+    let reg = t.reg in
     let count name help v =
       if v > 0 then Metrics.incr ~by:v (Metrics.counter reg ~help ~labels:[ ("algo", algo) ] name)
     in
@@ -255,29 +278,17 @@ let record_profile t algo (p : Spp_obs.Profile.snapshot) =
 
 let record_win t winner =
   Metrics.incr
-    (Metrics.counter (Telemetry.metrics t.tm) ~help:"Races won by algorithm"
+    (Metrics.counter t.reg ~help:"Races won by algorithm"
        ~labels:[ ("algo", winner) ] "spp_algo_wins_total")
 
-let finish_result t fp (r : result) =
+let finish_result t (r : result) =
   Metrics.observe t.m_solve_ms r.time_ms;
-  Telemetry.record t.tm ~name:"solve"
-    ([ ("fingerprint", Telemetry.String fp);
-      ("winner", Telemetry.String r.winner);
-      ("height", Telemetry.String (Q.to_string r.height));
-      ("source",
-       Telemetry.String
-         (match r.source with
-          | Computed -> "computed"
-          | Memory_cache -> "cache.memory"
-          | Disk_cache -> "cache.disk"));
-      ("ms", Telemetry.Float r.time_ms) ]
-     @ (if r.degraded then [ ("degraded", Telemetry.String "true") ] else []));
   r
 
 let solve ?budget_ms ?algos ?workers ?trace t parsed =
   Spp_util.Fault.hit "engine.solve";
   let t0 = Clock.now_ms () in
-  Telemetry.incr t.tm "solve.runs";
+  Metrics.incr t.c.runs;
   let fp = Fingerprint.parsed parsed in
   let lb = lower_bound_of parsed in
   let gap_of height = Q.sub height lb in
@@ -295,23 +306,23 @@ let solve ?budget_ms ?algos ?workers ?trace t parsed =
   in
   match probe with
   | `Memory e ->
-    Telemetry.incr t.tm "cache.hit";
-    Telemetry.incr t.tm "cache.hit.memory";
-    finish_result t fp
+    Metrics.incr t.c.hit;
+    Metrics.incr t.c.hit_memory;
+    finish_result t
       { placement = e.e_placement; height = e.e_height; winner = e.e_winner;
         source = Memory_cache; outcomes = []; time_ms = Clock.elapsed_ms t0;
         degraded = false; lower_bound = lb; gap = gap_of e.e_height }
   | `Disk (winner, p) ->
-    Telemetry.incr t.tm "cache.hit";
-    Telemetry.incr t.tm "cache.hit.disk";
+    Metrics.incr t.c.hit;
+    Metrics.incr t.c.hit_disk;
     let height = Placement.height p in
     Lru.add t.cache fp { e_placement = p; e_height = height; e_winner = winner };
-    finish_result t fp
+    finish_result t
       { placement = p; height; winner; source = Disk_cache; outcomes = [];
         time_ms = Clock.elapsed_ms t0; degraded = false; lower_bound = lb;
         gap = gap_of height }
   | `Miss ->
-    Telemetry.incr t.tm "cache.miss";
+    Metrics.incr t.c.miss;
     let specs =
       match algos with Some names -> Portfolio.of_names names | None -> Portfolio.defaults parsed
     in
@@ -339,7 +350,7 @@ let solve ?budget_ms ?algos ?workers ?trace t parsed =
        let p = traced trace "incumbent" (fun _ -> Portfolio.fallback parsed) in
        assert (violations parsed p = []);
        publish incumbent "ls(incumbent)" p
-     with Spp_util.Fault.Injected _ -> Telemetry.incr t.tm "incumbent.skipped");
+     with Spp_util.Fault.Injected _ -> Metrics.incr t.c.incumbent_skipped);
     let raced =
       traced trace "race" (fun race_span ->
           let sub =
@@ -382,7 +393,7 @@ let solve ?budget_ms ?algos ?workers ?trace t parsed =
         | Some (name, _, p) ->
           (* No racer finished in budget: the anytime incumbent is the
              answer — already validated when it was published. *)
-          Telemetry.incr t.tm "solver.incumbent";
+          Metrics.incr t.c.incumbent;
           (name, p, outcomes)
         | None ->
           (* Every member timed out / failed and the incumbent seed was
@@ -396,23 +407,23 @@ let solve ?budget_ms ?algos ?workers ?trace t parsed =
             { solver = "ls(fallback)"; status = Solved;
               height = Some (Placement.height p); time_ms = Clock.elapsed_ms t1 }
           in
-          Telemetry.incr t.tm "solver.fallback";
+          Metrics.incr t.c.fallback;
           (o.solver, p, outcomes @ [ o ]))
     in
     List.iter (record_outcome t) outcomes;
     record_win t winner;
     let height = Placement.height placement in
-    if degraded then Telemetry.incr t.tm "solve.degraded"
+    if degraded then Metrics.incr t.c.degraded
     else begin
       Lru.add t.cache fp { e_placement = placement; e_height = height; e_winner = winner };
       (* A failed cache write must never fail the solve we just computed. *)
       Option.iter
         (fun store ->
           try Store.add store ~fingerprint:fp ~winner placement
-          with _ -> Telemetry.incr t.tm "store.write.failed")
+          with _ -> Metrics.incr t.c.store_write_failed)
         t.store
     end;
-    finish_result t fp
+    finish_result t
       { placement; height; winner; source = Computed; outcomes;
         time_ms = Clock.elapsed_ms t0; degraded; lower_bound = lb;
         gap = gap_of height }

@@ -23,15 +23,17 @@
     [engine.incumbent] fault point), the greedy scheduler still runs as
     an uncancellable fallback — [solve] always returns a valid packing.
 
-    All activity is recorded in a {!Telemetry} value: per-solver timing
-    events (name ["solver"]), per-solve summaries (name ["solve"]), and
-    counters ([solve.runs], [cache.hit], [cache.hit.memory],
-    [cache.hit.disk], [cache.miss], [solver.solved], [solver.timeout],
-    [solver.invalid], [solver.failed], [solver.incumbent],
-    [solve.degraded], [incumbent.skipped]).
+    All activity is counted in one {!Spp_obs.Metrics} registry, with
+    nothing retained per solve. Counters registered at {!create}:
+    [solve.runs], [cache.hit], [cache.hit.memory], [cache.hit.disk],
+    [cache.miss], [solver.solved], [solver.timeout], [solver.invalid],
+    [solver.failed], [solver.incumbent], [solver.fallback],
+    [solve.degraded], [incumbent.skipped], [store.write.failed]. Per-solve
+    detail (winner, source, per-member outcomes and times) is in the
+    returned {!result}.
 
-    The telemetry's backing {!Spp_obs.Metrics} registry additionally
-    carries richer instruments the scrape endpoint exposes: the
+    The registry also carries the instruments the scrape endpoint
+    exposes: the
     [spp_solve_ms] latency histogram, [spp_algo_outcomes_total]{[algo],
     [outcome]} and [spp_algo_wins_total]{[algo]} labelled counters,
     [spp_cancel_polls_total], LRU occupancy/eviction metrics
@@ -79,13 +81,16 @@ type t
 (** [create ()] builds an engine. [cache_capacity] bounds the in-memory
     LRU (default 128 instances). [store_dir] adds a disk cache shared
     across processes, bounded to [store_max_entries] files (default
-    {!Store.default_max_entries}). [telemetry] shares an external log
-    (default: a fresh one, retrievable via {!telemetry}). *)
+    {!Store.default_max_entries}). [metrics] is the registry the engine
+    counts into (default: a fresh one); [spp serve] passes none and
+    registers its own series on {!metrics}. *)
 val create :
   ?cache_capacity:int -> ?store_dir:string -> ?store_max_entries:int ->
-  ?telemetry:Telemetry.t -> unit -> t
+  ?metrics:Spp_obs.Metrics.t -> unit -> t
 
-val telemetry : t -> Telemetry.t
+(** The engine's registry: counters above plus anything callers register
+    next to them. *)
+val metrics : t -> Spp_obs.Metrics.t
 
 (** Hit/miss/eviction counters and current size of the in-memory LRU —
     what the [spp serve] metrics endpoint reports. *)

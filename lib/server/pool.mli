@@ -4,8 +4,8 @@
     function, [None] (queue closed and drained) makes the worker exit.
     All workers share whatever state the job function closes over — for
     the server that is one {!Spp_engine.Engine.t}, which is the whole
-    point: its LRU, disk store and telemetry are mutex-protected and
-    shared across every request.
+    point: its LRU and disk store are mutex-protected, its counters are
+    atomic, and all of it is shared across every request.
 
     Supervision: a job function that raises (or a [pool.job] fault from
     {!Spp_util.Fault}) kills its worker domain. A per-slot supervisor

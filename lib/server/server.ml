@@ -1,5 +1,4 @@
 module Engine = Spp_engine.Engine
-module Telemetry = Spp_engine.Telemetry
 module Lru = Spp_engine.Lru
 module Io = Spp_core.Io
 module Q = Spp_num.Rat
@@ -10,22 +9,18 @@ module Log = Spp_obs.Log
 module Field = Spp_obs.Field
 
 type config = {
-  address : Framing.address;
+  frontend : Frontend.config;
   workers : int;
   queue_depth : int;
   engine : Engine.t;
   default_budget_ms : float option;
   solve_workers : int option;
-  max_request_bytes : int;
   slow_ms : float option;
-  idle_timeout_ms : float option;
-  read_timeout_ms : float option;
   retry_after_ms : int;
   max_worker_restarts : int option;
   deadline_floor_ms : float;
 }
 
-let default_max_request_bytes = Framing.default_max_line
 let default_retry_after_ms = 100
 let default_deadline_floor_ms = 5.0
 
@@ -43,22 +38,13 @@ type job = {
   enqueued_ms : float;
 }
 
-type conn = { fd : Unix.file_descr }
-
 (* Handles registered once at [start]; every request touches these, so
    they must not go through the registry's name lookup on the hot path. *)
 type instruments = {
   reg : Metrics.t;
   m_shed : Metrics.counter;
   m_inflight : Metrics.gauge;
-  m_connections : Metrics.counter;
-  m_bytes_in : Metrics.counter;
-  m_bytes_out : Metrics.counter;
-  m_request_ms : Metrics.histogram;
   m_queue_wait_ms : Metrics.histogram;
-  m_request_bytes : Metrics.histogram;
-  m_response_bytes : Metrics.histogram;
-  m_reaped : Metrics.counter;
   m_degraded : Metrics.counter;
   m_deadline_admission : Metrics.counter;
   m_deadline_dispatch : Metrics.counter;
@@ -66,15 +52,9 @@ type instruments = {
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
+  fe : Frontend.t;
   queue : job Bqueue.t;
-  stopping : bool Atomic.t;
-  lock : Mutex.t;  (* guards conns and threads *)
-  mutable conns : conn list;
-  mutable threads : Thread.t list;
   pool : Pool.t;
-  started_ms : float;
-  mutable acceptor : Thread.t option;
   mx : instruments;
 }
 
@@ -85,11 +65,6 @@ let source_to_string = function
   | Engine.Computed -> "computed"
   | Engine.Memory_cache -> "cache.memory"
   | Engine.Disk_cache -> "cache.disk"
-
-let count_request mx op =
-  Metrics.incr
-    (Metrics.counter mx.reg ~help:"Requests received by op" ~labels:[ ("op", op) ]
-       "spp_requests_total")
 
 (* Runs on a worker domain; must never raise (the reply mailbox is the
    only failure channel the connection thread watches). *)
@@ -160,20 +135,7 @@ let process cfg mx (job : job) =
   in
   ignore (Bqueue.try_push job.reply resp)
 
-let stop t = Atomic.set t.stopping true
-
-let histograms_of reg =
-  List.filter_map
-    (fun (s : Metrics.sample) ->
-      match s.value with
-      | Metrics.Histogram h when s.labels = [] ->
-        Some
-          ( s.name,
-            { Protocol.count = h.Metrics.total; sum = h.Metrics.sum;
-              p50 = Metrics.hist_quantile h 0.5; p90 = Metrics.hist_quantile h 0.9;
-              p99 = Metrics.hist_quantile h 0.99; buckets = h.Metrics.buckets } )
-      | _ -> None)
-    (Metrics.snapshot reg)
+let stop t = Frontend.stop t.fe
 
 let algos_of reg =
   let outcomes = Metrics.labeled_counters reg "spp_algo_outcomes_total" in
@@ -197,268 +159,95 @@ let algos_of reg =
           failed = sum_where (outcome "failed") outcomes } ))
     names
 
-let metrics t =
+let metrics t (m : Protocol.metrics_reply) =
   let s = Engine.cache_stats t.cfg.engine in
-  Protocol.Metrics_ok
-    { uptime_ms = Clock.elapsed_ms t.started_ms;
-      counters = Telemetry.counters (Engine.telemetry t.cfg.engine);
-      cache =
-        { size = s.Lru.size; capacity = Engine.cache_capacity t.cfg.engine; hits = s.Lru.hits;
-          misses = s.Lru.misses; evictions = s.Lru.evictions };
-      store_dir = Engine.store_dir t.cfg.engine; workers = t.cfg.workers;
-      queue_length = Bqueue.length t.queue; queue_capacity = Bqueue.capacity t.queue;
-      histograms = histograms_of t.mx.reg; algos = algos_of t.mx.reg }
+  { m with
+    cache =
+      { size = s.Lru.size; capacity = Engine.cache_capacity t.cfg.engine; hits = s.Lru.hits;
+        misses = s.Lru.misses; evictions = s.Lru.evictions };
+    store_dir = Engine.store_dir t.cfg.engine; workers = t.cfg.workers;
+    queue_length = Bqueue.length t.queue; queue_capacity = Bqueue.capacity t.queue;
+    algos = algos_of t.mx.reg }
 
-let health t =
-  Protocol.Health_ok
-    { uptime_s = Clock.elapsed_ms t.started_ms /. 1000.0;
-      cache_capacity = Engine.cache_capacity t.cfg.engine }
-
-(* [respond] returns the request's trace alongside the response so the
-   connection thread can span the reply write and run the slow-log check
-   after the bytes are actually on the wire. *)
-let respond t line =
-  match Protocol.decode_request line with
-  | Error msg ->
-    count_request t.mx "invalid";
-    (Protocol.Error { code = Protocol.Parse; message = msg; retry_after_ms = None }, None)
-  | Ok Protocol.Health ->
-    count_request t.mx "health";
-    (health t, None)
-  | Ok Protocol.Metrics ->
-    count_request t.mx "metrics";
-    (metrics t, None)
-  | Ok Protocol.Shutdown ->
-    count_request t.mx "shutdown";
-    Log.info "shutdown requested" [];
-    stop t;
-    (Protocol.Shutdown_ok, None)
-  | Ok (Protocol.Solve { instance; budget_ms; deadline_ms; algos; trace_id }) ->
-    count_request t.mx "solve";
-    (* Pin the propagated deadline to this host's clock at receipt:
-       everything from here on — parse, queue wait, dispatch — is this
-       hop's elapsed time and counts against it. *)
-    let deadline = Spp_util.Deadline.of_request deadline_ms in
-    let trace =
-      if trace_id <> None || t.cfg.slow_ms <> None || Log.enabled Log.Debug then
-        Some (Trace.create ?id:trace_id ~name:"request" ())
-      else None
-    in
-    if Atomic.get t.stopping then
-      ( Protocol.Error
-          { code = Protocol.Shutting_down; message = "server is draining";
-            retry_after_ms = None },
-        trace )
-    else if
-      match deadline with
-      | Some d -> Spp_util.Deadline.expired ~floor_ms:t.cfg.deadline_floor_ms d
-      | None -> false
-    then begin
-      (* Fast-fail at admission: below the floor the answer cannot
-         arrive in time, so shedding now is strictly better than
-         queueing — the caller learns immediately and capacity stays
-         with requests that can still make it. *)
-      Metrics.incr t.mx.m_deadline_admission;
-      ( Protocol.Error
-          { code = Protocol.Wont_make_it;
-            message =
-              Printf.sprintf "remaining deadline below floor (%.0f ms)"
-                t.cfg.deadline_floor_ms;
-            retry_after_ms = Some t.cfg.retry_after_ms },
-        trace )
-    end
-    else (
-      match Io.parse_string instance with
-      | exception Failure msg ->
-        ( Protocol.Error
-            { code = Protocol.Bad_instance; message = msg; retry_after_ms = None },
-          trace )
-      | parsed ->
-        let budget_ms =
-          match budget_ms with Some _ -> budget_ms | None -> t.cfg.default_budget_ms
-        in
-        let reply = Bqueue.create ~capacity:1 in
-        let queue_span =
-          Option.map (fun tr -> Trace.span tr ~parent:(Trace.root tr) "queue.wait") trace
-        in
-        Metrics.gauge_add t.mx.m_inflight 1.0;
-        let resp =
-          if
-            not
-              (Bqueue.try_push t.queue
-                 { parsed; budget_ms; deadline; algos; reply; trace;
-                   wants_trace = trace_id <> None;
-                   queue_span; enqueued_ms = Clock.now_ms () })
-          then begin
-            Metrics.incr t.mx.m_shed;
-            (match (trace, queue_span) with
-             | Some tr, Some s ->
-               Trace.finish ~fields:[ ("outcome", Field.String "shed") ] tr s
-             | _ -> ());
-            if Bqueue.is_closed t.queue then
-              (* The pool died (every slot out of restart budget): shed
-                 with a non-retryable error, not a misleading "queue full". *)
-              Protocol.Error
-                { code = Protocol.Internal; message = "worker pool closed";
-                  retry_after_ms = None }
-            else
-              Protocol.Error
-                { code = Protocol.Overloaded;
-                  message =
-                    Printf.sprintf "admission queue full (depth %d)" (Bqueue.capacity t.queue);
-                  retry_after_ms = Some t.cfg.retry_after_ms }
-          end
-          else (
-            match Bqueue.pop reply with
-            | Some r -> r
-            | None ->
-              Protocol.Error
-                { code = Protocol.Internal; message = "worker pool closed";
-                  retry_after_ms = None })
-        in
-        Metrics.gauge_add t.mx.m_inflight (-1.0);
-        (resp, trace))
-
-(* ------------------------------------------------------------------ *)
-(* Connections *)
-
-let unregister t conn =
-  Mutex.lock t.lock;
-  t.conns <- List.filter (fun c -> c != conn) t.conns;
-  Mutex.unlock t.lock
-
-let finish_trace t trace =
-  Option.iter
-    (fun tr ->
-      Trace.close tr;
-      let total = Trace.total_ms tr in
-      match t.cfg.slow_ms with
-      | Some thr when total >= thr ->
-        Log.warn "slow request"
-          [ ("trace_id", Field.String (Trace.id tr)); ("ms", Field.Float total);
-            ("trace", Field.String (Trace.to_json tr)) ]
-      | _ ->
-        if Log.enabled Log.Debug then
-          Log.debug "request"
-            [ ("trace_id", Field.String (Trace.id tr)); ("ms", Field.Float total) ])
-    trace
-
-let serve_conn t conn =
-  Metrics.incr t.mx.m_connections;
-  let reader = Framing.reader ~max_line_bytes:t.cfg.max_request_bytes conn.fd in
-  let send ?trace resp =
-    let line = Protocol.encode_response resp in
-    let span =
-      Option.map
-        (fun tr -> (tr, Trace.span tr ~parent:(Trace.root tr) "reply.write"))
-        trace
-    in
-    let ok =
-      try
-        Framing.write_line conn.fd line;
-        true
-      with Unix.Unix_error _ | Sys_error _ -> false
-    in
-    Option.iter
-      (fun (tr, s) ->
-        Trace.finish ~fields:[ ("bytes", Field.Int (String.length line + 1)) ] tr s)
-      span;
-    Metrics.incr ~by:(String.length line + 1) t.mx.m_bytes_out;
-    Metrics.observe t.mx.m_response_bytes (float_of_int (String.length line + 1));
-    ok
+let solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
+  (* Pin the propagated deadline to this host's clock at receipt:
+     everything from here on — parse, queue wait, dispatch — is this
+     hop's elapsed time and counts against it. *)
+  let deadline = Spp_util.Deadline.of_request deadline_ms in
+  let trace =
+    if trace_id <> None || t.cfg.slow_ms <> None || Log.enabled Log.Debug then
+      Some (Trace.create ?id:trace_id ~name:"request" ())
+    else None
   in
-  let rec loop () =
-    match
-      Framing.read_line ?idle_timeout_ms:t.cfg.idle_timeout_ms
-        ?read_timeout_ms:t.cfg.read_timeout_ms reader
-    with
-    | None -> ()
-    | exception Framing.Timeout ->
-      (* Idle too long or trickling a request too slowly: reap. *)
-      Metrics.incr t.mx.m_reaped;
-      Log.info "connection reaped" []
-    | exception Framing.Line_too_long ->
-      ignore
-        (send
-           (Protocol.Error
-              { code = Protocol.Parse;
+  if
+    match deadline with
+    | Some d -> Spp_util.Deadline.expired ~floor_ms:t.cfg.deadline_floor_ms d
+    | None -> false
+  then begin
+    (* Fast-fail at admission: below the floor the answer cannot
+       arrive in time, so shedding now is strictly better than
+       queueing — the caller learns immediately and capacity stays
+       with requests that can still make it. *)
+    Metrics.incr t.mx.m_deadline_admission;
+    ( Protocol.Error
+        { code = Protocol.Wont_make_it;
+          message =
+            Printf.sprintf "remaining deadline below floor (%.0f ms)"
+              t.cfg.deadline_floor_ms;
+          retry_after_ms = Some t.cfg.retry_after_ms },
+      trace )
+  end
+  else (
+    match Io.parse_string instance with
+    | exception Failure msg ->
+      ( Protocol.Error
+          { code = Protocol.Bad_instance; message = msg; retry_after_ms = None },
+        trace )
+    | parsed ->
+      let budget_ms =
+        match budget_ms with Some _ -> budget_ms | None -> t.cfg.default_budget_ms
+      in
+      let reply = Bqueue.create ~capacity:1 in
+      let queue_span =
+        Option.map (fun tr -> Trace.span tr ~parent:(Trace.root tr) "queue.wait") trace
+      in
+      Metrics.gauge_add t.mx.m_inflight 1.0;
+      let resp =
+        if
+          not
+            (Bqueue.try_push t.queue
+               { parsed; budget_ms; deadline; algos; reply; trace;
+                 wants_trace = trace_id <> None;
+                 queue_span; enqueued_ms = Clock.now_ms () })
+        then begin
+          Metrics.incr t.mx.m_shed;
+          (match (trace, queue_span) with
+           | Some tr, Some s ->
+             Trace.finish ~fields:[ ("outcome", Field.String "shed") ] tr s
+           | _ -> ());
+          if Bqueue.is_closed t.queue then
+            (* The pool died (every slot out of restart budget): shed
+               with a non-retryable error, not a misleading "queue full". *)
+            Protocol.Error
+              { code = Protocol.Internal; message = "worker pool closed";
+                retry_after_ms = None }
+          else
+            Protocol.Error
+              { code = Protocol.Overloaded;
                 message =
-                  Printf.sprintf "request exceeds %d bytes" t.cfg.max_request_bytes;
-                retry_after_ms = None }))
-    | exception (Unix.Unix_error _ | Sys_error _) -> ()
-    | Some line when String.trim line = "" -> if not (Atomic.get t.stopping) then loop ()
-    | Some line ->
-      Metrics.incr ~by:(String.length line + 1) t.mx.m_bytes_in;
-      Metrics.observe t.mx.m_request_bytes (float_of_int (String.length line + 1));
-      let t0 = Clock.now_ms () in
-      let resp, trace = respond t line in
-      let written = send ?trace resp in
-      finish_trace t trace;
-      Metrics.observe t.mx.m_request_ms (Clock.elapsed_ms t0);
-      (* After a drain began, finish this (in-flight) reply but take no
-         further requests from the connection. *)
-      if written && not (Atomic.get t.stopping) then loop ()
-  in
-  (try loop () with _ -> ());
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  unregister t conn
-
-(* ------------------------------------------------------------------ *)
-(* Accepting and shutdown *)
-
-let accept_loop t =
-  let fd = t.listen_fd in
-  Unix.set_nonblock fd;
-  let rec loop () =
-    if not (Atomic.get t.stopping) then begin
-      (match Unix.select [ fd ] [] [] 0.05 with
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       | [], _, _ -> ()
-       | _ :: _, _, _ -> (
-         match Unix.accept ~cloexec:true fd with
-         | exception
-             Unix.Unix_error
-               ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-           ()
-         | cfd, _ ->
-           if Atomic.get t.stopping then (try Unix.close cfd with Unix.Unix_error _ -> ())
-           else begin
-             let conn = { fd = cfd } in
-             Mutex.lock t.lock;
-             t.conns <- conn :: t.conns;
-             t.threads <- Thread.create (fun () -> serve_conn t conn) () :: t.threads;
-             Mutex.unlock t.lock
-           end));
-      loop ()
-    end
-  in
-  loop ();
-  (* Drain. New connections first: close the listener (and unlink the
-     socket path so clients get a clean "no such server"). *)
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  (match t.cfg.address with
-   | Framing.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-   | Framing.Tcp _ -> ());
-  (* Wake idle connection threads blocked in read: shutting down the
-     receive side delivers EOF without touching replies still being
-     written for in-flight requests. *)
-  Mutex.lock t.lock;
-  let conns = t.conns in
-  Mutex.unlock t.lock;
-  List.iter
-    (fun c -> try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    conns;
-  (* In-flight requests finish on the still-running worker pool; their
-     connection threads write the replies and exit. *)
-  Mutex.lock t.lock;
-  let threads = t.threads in
-  t.threads <- [];
-  Mutex.unlock t.lock;
-  List.iter Thread.join threads;
-  (* Nothing can enqueue any more: let the workers drain out and exit. *)
-  Bqueue.close t.queue;
-  Pool.join t.pool;
-  Log.info "server drained" []
+                  Printf.sprintf "admission queue full (depth %d)" (Bqueue.capacity t.queue);
+                retry_after_ms = Some t.cfg.retry_after_ms }
+        end
+        else (
+          match Bqueue.pop reply with
+          | Some r -> r
+          | None ->
+            Protocol.Error
+              { code = Protocol.Internal; message = "worker pool closed";
+                retry_after_ms = None })
+      in
+      Metrics.gauge_add t.mx.m_inflight (-1.0);
+      (resp, trace))
 
 let instruments reg queue =
   Metrics.gauge_fn reg ~help:"Jobs waiting in the admission queue" "spp_queue_depth"
@@ -470,24 +259,9 @@ let instruments reg queue =
     m_inflight =
       Metrics.gauge reg ~help:"Solve requests admitted and not yet answered"
         "spp_inflight_requests";
-    m_connections = Metrics.counter reg ~help:"Client connections accepted" "spp_connections_total";
-    m_bytes_in = Metrics.counter reg ~help:"Request bytes read" "spp_bytes_read_total";
-    m_bytes_out = Metrics.counter reg ~help:"Response bytes written" "spp_bytes_written_total";
-    m_request_ms =
-      Metrics.histogram reg ~help:"Wall-clock per request, receipt to reply (ms)"
-        "spp_request_ms";
     m_queue_wait_ms =
       Metrics.histogram reg ~help:"Time jobs spent in the admission queue (ms)"
         "spp_queue_wait_ms";
-    m_request_bytes =
-      Metrics.histogram reg ~help:"Request line sizes (bytes)"
-        ~buckets:Metrics.default_size_buckets "spp_request_bytes";
-    m_response_bytes =
-      Metrics.histogram reg ~help:"Response line sizes (bytes)"
-        ~buckets:Metrics.default_size_buckets "spp_response_bytes";
-    m_reaped =
-      Metrics.counter reg ~help:"Connections closed for idling or trickling past a deadline"
-        "spp_connections_reaped_total";
     m_degraded =
       Metrics.counter reg ~help:"Solve replies answered with a degraded (anytime) packing"
         "spp_degraded_replies_total";
@@ -500,9 +274,12 @@ let instruments reg queue =
 
 let start cfg =
   Signals.ignore_sigpipe ();
-  let listen_fd = Framing.listen cfg.address in
+  let reg = Engine.metrics cfg.engine in
+  let fe =
+    Frontend.create ~name:"server" ~prefix:"spp" ~ops:"spp_requests_total" ?slow_ms:cfg.slow_ms
+      reg cfg.frontend
+  in
   let queue = Bqueue.create ~capacity:cfg.queue_depth in
-  let reg = Telemetry.metrics (Engine.telemetry cfg.engine) in
   let mx = instruments reg queue in
   (* A worker that dies mid-job must still answer that job's client: the
      supervisor fails the reply mailbox with a structured internal error. *)
@@ -525,16 +302,19 @@ let start cfg =
     "spp_worker_deaths_total" (fun () -> Pool.deaths pool);
   Metrics.counter_fn reg ~help:"Worker domain restarts performed by the supervisor"
     "spp_worker_restarts_total" (fun () -> Pool.restarts pool);
-  let t =
-    { cfg; listen_fd; queue; stopping = Atomic.make false; lock = Mutex.create (); conns = [];
-      threads = []; pool; started_ms = Clock.now_ms (); acceptor = None; mx }
-  in
-  Metrics.gauge_fn reg ~help:"Seconds since the server started" "spp_uptime_seconds"
-    (fun () -> Clock.elapsed_ms t.started_ms /. 1000.0);
-  t.acceptor <- Some (Thread.create (fun () -> accept_loop t) ());
+  let t = { cfg; fe; queue; pool; mx } in
+  Frontend.serve fe
+    { solve = solve t; cache_capacity = Engine.cache_capacity cfg.engine; metrics = metrics t };
   Log.info "server listening"
-    [ ("address", Field.String (Framing.address_to_string cfg.address));
+    [ ("address", Field.String (Framing.address_to_string cfg.frontend.address));
       ("workers", Field.Int cfg.workers); ("queue_depth", Field.Int cfg.queue_depth) ];
   t
 
-let wait t = match t.acceptor with Some th -> Thread.join th | None -> ()
+let wait t =
+  Frontend.wait t.fe;
+  (* In-flight requests finished on the still-running worker pool before
+     their connection threads exited; nothing can enqueue any more, so
+     let the workers drain out and exit. *)
+  Bqueue.close t.queue;
+  Pool.join t.pool;
+  Log.info "server drained" []

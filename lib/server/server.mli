@@ -1,26 +1,26 @@
-(** The `spp serve` daemon: a long-running network front end over one
-    shared {!Spp_engine.Engine.t}.
+(** The `spp serve` daemon: a long-running network service over one
+    shared {!Spp_engine.Engine.t}, behind the shared NDJSON {!Frontend}.
 
     Concurrency shape:
 
     {v
-    acceptor thread --accept--> connection threads (one per client)
-                                   | parse line, admission-check,
-                                   | try_push job  ----------------+
-                                   | block on reply mailbox        |
-                                   v                               v
-                             bounded Bqueue  <--pop--  worker pool (domains)
-                                                         Engine.solve
+    Frontend connection threads (one per client)
+       | solve: parse, admission-check,
+       | try_push job  ----------------+
+       | block on reply mailbox        |
+       v                               v
+    bounded Bqueue  <--pop--  worker pool (domains)
+                                Engine.solve
     v}
 
-    - The acceptor feeds connections to lightweight threads; each thread
-      handles its client's requests strictly in order (the protocol is
-      synchronous per connection).
+    - The {!Frontend} owns the listener, the connection threads, the
+      connection deadlines and the [health] / [metrics] / [shutdown] ops;
+      this module is its [solve] handler.
     - [solve] requests are admitted to a bounded queue; when it is full
       the client gets an immediate [overloaded] error instead of
       unbounded latency (load shedding).
     - Worker domains share one engine, so the in-memory LRU, the disk
-      store and the telemetry counters accumulate across all clients —
+      store and the engine's counters accumulate across all clients —
       repeats are served from cache at memory speed.
     - Per-request deadlines ([budget_ms], or the server default) become
       {!Spp_util.Cancel} tokens inside the engine, so exact solvers are
@@ -37,23 +37,21 @@
       comes back as the engine's anytime incumbent with [degraded: true]
       (counted in [spp_degraded_replies_total]) rather than late.
     - {!stop} (from a signal handler, a [shutdown] request, or a test)
-      only flips a flag; the acceptor notices within ~50 ms and drains:
-      the listener closes (new connections refused), idle connections are
-      woken and closed, in-flight requests complete and their replies are
-      written, then the queue closes and the workers exit.
+      starts the front end's drain (see {!Frontend}); once every
+      connection thread has written its in-flight reply, {!wait} closes
+      the queue and the workers exit.
     - Robustness: worker domains are supervised (see {!Pool}) — a job
       whose worker dies still receives a structured [internal] reply, and
       deaths/restarts surface as [spp_worker_deaths_total] /
-      [spp_worker_restarts_total]. Connections that idle past
-      [idle_timeout_ms] or trickle a request past [read_timeout_ms] are
-      reaped ([spp_connections_reaped_total]); [overloaded] replies carry
-      a [retry_after_ms] hint.
+      [spp_worker_restarts_total]. [overloaded] replies carry a
+      [retry_after_ms] hint.
 
-    Observability: the server registers its instruments on the engine
-    telemetry's {!Spp_obs.Metrics} registry — [spp_requests_total]{[op]},
-    [spp_requests_shed_total], [spp_connections_total], queue depth and
-    in-flight gauges, bytes in/out, and [spp_request_ms] /
-    [spp_queue_wait_ms] / request-and-response size histograms — so one
+    Observability: the server registers its instruments on the engine's
+    {!Spp_obs.Metrics} registry — the front end's series under the [spp]
+    prefix ([spp_requests_total]{[op]}, [spp_connections_total], bytes
+    in/out, [spp_connections_reaped_total], [spp_request_ms] and the
+    request/response size histograms), plus [spp_requests_shed_total],
+    queue depth and in-flight gauges and [spp_queue_wait_ms] — so one
     registry feeds the [metrics] op and the scrape endpoint
     ({!Metrics_http}). A solve request is traced ({!Spp_obs.Trace}) when
     the client supplies a [trace_id], when [slow_ms] is set, or when the
@@ -62,7 +60,7 @@
     [slow_ms] are logged at [warn] with the rendered trace attached. *)
 
 type config = {
-  address : Framing.address;
+  frontend : Frontend.config;  (** listen address and connection limits *)
   workers : int;  (** worker domains sharing the engine *)
   queue_depth : int;  (** admission queue bound (load shedding above it) *)
   engine : Spp_engine.Engine.t;
@@ -72,17 +70,9 @@ type config = {
       (** domains racing portfolio members inside one solve (default:
           engine default; keep [workers * solve_workers] near the core
           count) *)
-  max_request_bytes : int;  (** request-line size cap, see {!Framing} *)
   slow_ms : float option;
       (** log requests slower than this at [warn] with their span tree;
           also forces every solve request to be traced *)
-  idle_timeout_ms : float option;
-      (** reap a connection that starts no new request for this long
-          ([None] = never); counted in [spp_connections_reaped_total] *)
-  read_timeout_ms : float option;
-      (** reap a connection whose request line takes longer than this to
-          complete from its first byte — the slow-loris guard ([None] =
-          never) *)
   retry_after_ms : int;
       (** backoff hint attached to [overloaded] replies (see
           {!Protocol.response}) *)
@@ -95,8 +85,6 @@ type config = {
           admission and again at dispatch after the queue wait *)
 }
 
-val default_max_request_bytes : int
-
 (** Default [retry_after_ms] (100). *)
 val default_retry_after_ms : int
 
@@ -105,8 +93,8 @@ val default_deadline_floor_ms : float
 
 type t
 
-(** [start cfg] binds the address, spawns the worker pool and the acceptor
-    thread, and returns immediately.
+(** [start cfg] binds the address, spawns the worker pool and the front
+    end's acceptor thread, and returns immediately.
     @raise Unix.Unix_error if the address cannot be bound. *)
 val start : config -> t
 

@@ -209,10 +209,9 @@ let start_backend () =
   let address = Framing.Unix_sock sock in
   let srv =
     Server.start
-      { Server.address; workers = 1; queue_depth = 16; engine = Engine.create ();
-        default_budget_ms = Some 2000.0; solve_workers = Some 1;
-        max_request_bytes = 1 lsl 16; slow_ms = None; idle_timeout_ms = None;
-        read_timeout_ms = None; retry_after_ms = Server.default_retry_after_ms;
+      { Server.frontend = Spp_server.Frontend.default address; workers = 1; queue_depth = 16;
+        engine = Engine.create (); default_budget_ms = Some 2000.0; solve_workers = Some 1;
+        slow_ms = None; retry_after_ms = Server.default_retry_after_ms;
         max_worker_restarts = None; deadline_floor_ms = Server.default_deadline_floor_ms }
   in
   (address, srv)
@@ -251,7 +250,7 @@ let test_proxy_routes_and_caches () =
       let corpus = List.init 6 (fun i -> instance_text (100 + i) (5 + (i mod 3))) in
       List.iter
         (fun text ->
-          match solve_via cfg.Proxy.address text with
+          match solve_via cfg.Proxy.frontend.address text with
           | Protocol.Solve_ok r ->
             check_solve_reply text r;
             Alcotest.(check bool) "first pass is not proxy-cached" true
@@ -262,7 +261,7 @@ let test_proxy_routes_and_caches () =
       (* The same instances again: answered at the proxy, backends idle. *)
       List.iter
         (fun text ->
-          match solve_via cfg.Proxy.address text with
+          match solve_via cfg.Proxy.frontend.address text with
           | Protocol.Solve_ok r ->
             check_solve_reply text r;
             Alcotest.(check string) "second pass hits the warm cache" "cache.proxy"
@@ -273,11 +272,17 @@ let test_proxy_routes_and_caches () =
       let hits = Metrics.find_counter cfg.Proxy.registry "spp_proxy_cache_hits_total" in
       Alcotest.(check (option int)) "cache hits counted" (Some 6) hits;
       (* Local ops: health and metrics answered by the proxy itself. *)
-      (match Client.with_connection cfg.Proxy.address (fun c -> Client.request c Protocol.Health) with
+      (match
+         Client.with_connection cfg.Proxy.frontend.address (fun c ->
+             Client.request c Protocol.Health)
+       with
        | Protocol.Health_ok h ->
          Alcotest.(check int) "health reports cache capacity" 64 h.Protocol.cache_capacity
        | _ -> Alcotest.fail "health must answer locally");
-      match Client.with_connection cfg.Proxy.address (fun c -> Client.request c Protocol.Metrics) with
+      match
+        Client.with_connection cfg.Proxy.frontend.address (fun c ->
+            Client.request c Protocol.Metrics)
+      with
       | Protocol.Metrics_ok m ->
         Alcotest.(check int) "workers reports live backends" 2 m.Protocol.workers
       | _ -> Alcotest.fail "metrics must answer locally")
@@ -297,7 +302,7 @@ let test_proxy_coalesces_concurrent_duplicates () =
           let text = instance_text 7 6 in
           let replies = Array.make 8 None in
           let runner i () =
-            replies.(i) <- Some (solve_via ~algos:[ "dc" ] cfg.Proxy.address text)
+            replies.(i) <- Some (solve_via ~algos:[ "dc" ] cfg.Proxy.frontend.address text)
           in
           let leader = Thread.create (runner 0) () in
           Unix.sleepf 0.05;
@@ -336,7 +341,7 @@ let test_proxy_failover_past_dead_backend () =
        | [] -> assert false);
       List.iter
         (fun text ->
-          match solve_via cfg.Proxy.address text with
+          match solve_via cfg.Proxy.frontend.address text with
           | Protocol.Solve_ok r -> check_solve_reply text r
           | other ->
             Alcotest.failf "expected solve_ok after failover, got %s"
@@ -358,7 +363,7 @@ let test_proxy_failover_past_dead_backend () =
 let test_proxy_serves_from_cache_when_all_backends_die () =
   with_cluster ~backends:2 ~fail_after:1 (fun cfg _px srvs ->
       let text = instance_text 9 6 in
-      (match solve_via cfg.Proxy.address text with
+      (match solve_via cfg.Proxy.frontend.address text with
        | Protocol.Solve_ok r -> check_solve_reply text r
        | other -> Alcotest.failf "warmup failed: %s" (Protocol.encode_response other));
       List.iter
@@ -367,13 +372,13 @@ let test_proxy_serves_from_cache_when_all_backends_die () =
           Server.wait srv)
         srvs;
       (* The snooped reply outlives the whole backend fleet. *)
-      (match solve_via cfg.Proxy.address text with
+      (match solve_via cfg.Proxy.frontend.address text with
        | Protocol.Solve_ok r ->
          Alcotest.(check string) "served from the proxy cache" "cache.proxy" r.Protocol.source
        | other -> Alcotest.failf "expected cache hit, got %s" (Protocol.encode_response other));
       (* A never-seen instance now has nowhere to go: a structured
          overloaded reply with a retry hint, not a hang or a reset. *)
-      match solve_via cfg.Proxy.address (instance_text 10 5) with
+      match solve_via cfg.Proxy.frontend.address (instance_text 10 5) with
       | Protocol.Error { code = Protocol.Overloaded; retry_after_ms; _ } ->
         Alcotest.(check bool) "carries a retry hint" true (retry_after_ms <> None)
       | other ->
@@ -388,7 +393,7 @@ let test_proxy_stitches_backend_trace () =
       let text = instance_text 55 6 in
       let trace_id = "feedfacecafef00d" in
       let solve () =
-        Client.with_connection ~timeout_ms:5_000.0 cfg.Proxy.address (fun c ->
+        Client.with_connection ~timeout_ms:5_000.0 cfg.Proxy.frontend.address (fun c ->
             Client.request c
               (Protocol.Solve
                  { instance = text; budget_ms = None; deadline_ms = None; algos = None;
@@ -636,7 +641,7 @@ let test_proxy_hedge_beats_slow_backend () =
           ~want:(Framing.address_to_string gw.gw_addr)
       in
       let t0 = Spp_util.Clock.now_ms () in
-      (match solve_via cfg.Proxy.address text with
+      (match solve_via cfg.Proxy.frontend.address text with
        | Protocol.Solve_ok reply ->
          check_solve_reply text reply;
          (* The gateway stalls 400 ms; a winning hedge answers well
@@ -662,7 +667,7 @@ let test_proxy_deadline_fastfail_but_cache_serves () =
       (* No time left and nothing cached: fast-fail without an upstream
          call. *)
       (match
-         Client.with_connection ~timeout_ms:5_000.0 cfg.Proxy.address (fun c ->
+         Client.with_connection ~timeout_ms:5_000.0 cfg.Proxy.frontend.address (fun c ->
              Client.request c
                (Protocol.Solve
                   { instance = text; budget_ms = None; deadline_ms = Some 0.0; algos = None;
@@ -678,11 +683,11 @@ let test_proxy_deadline_fastfail_but_cache_serves () =
            "spp_deadline_rejects_total");
       (* Warm the cache with an unbounded solve, then repeat the
          impossible deadline: the answer in hand is served anyway. *)
-      (match solve_via cfg.Proxy.address text with
+      (match solve_via cfg.Proxy.frontend.address text with
        | Protocol.Solve_ok r -> check_solve_reply text r
        | other -> Alcotest.failf "warming solve failed: %s" (Protocol.encode_response other));
       match
-        Client.with_connection ~timeout_ms:5_000.0 cfg.Proxy.address (fun c ->
+        Client.with_connection ~timeout_ms:5_000.0 cfg.Proxy.frontend.address (fun c ->
             Client.request c
               (Protocol.Solve
                  { instance = text; budget_ms = None; deadline_ms = Some 0.0; algos = None;

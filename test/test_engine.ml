@@ -1,6 +1,6 @@
 (* Tests for Spp_engine: fingerprint canonicality, LRU accounting,
-   telemetry export, cancellation tokens, the disk store, and the engine's
-   caching / budget / never-worse-than-members guarantees. *)
+   cancellation tokens, the disk store, and the engine's caching / budget /
+   never-worse-than-members / bounded-memory guarantees. *)
 
 module Q = Spp_num.Rat
 module Rect = Spp_geom.Rect
@@ -13,10 +13,10 @@ module Validate = Spp_core.Validate
 module Generators = Spp_workloads.Generators
 module Fingerprint = Spp_engine.Fingerprint
 module Lru = Spp_engine.Lru
-module Telemetry = Spp_engine.Telemetry
 module Portfolio = Spp_engine.Portfolio
 module Store = Spp_engine.Store
 module Engine = Spp_engine.Engine
+module Metrics = Spp_obs.Metrics
 
 let q = Q.of_ints
 
@@ -97,35 +97,6 @@ let test_lru_replace () =
   Alcotest.check_raises "capacity 0 rejected"
     (Invalid_argument "Lru.create: capacity must be >= 1") (fun () ->
       ignore (Lru.create ~capacity:0))
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry *)
-
-let test_telemetry_counters_events () =
-  let tm = Telemetry.create () in
-  Telemetry.incr tm "x";
-  Telemetry.incr ~by:2 tm "x";
-  Telemetry.incr tm "y";
-  Alcotest.(check int) "counter x" 3 (Telemetry.counter tm "x");
-  Alcotest.(check int) "absent counter" 0 (Telemetry.counter tm "z");
-  Telemetry.record tm ~name:"ev" [ ("s", Telemetry.String "a\"b"); ("n", Telemetry.Int 7) ];
-  let v = Telemetry.time tm ~name:"timed" ~fields:[] (fun () -> 42) in
-  Alcotest.(check int) "time returns" 42 v;
-  let events = Telemetry.events tm in
-  Alcotest.(check int) "two events" 2 (List.length events);
-  Alcotest.(check (list string)) "chronological" [ "ev"; "timed" ]
-    (List.map (fun (e : Telemetry.event) -> e.Telemetry.name) events);
-  let json = Telemetry.to_json_lines tm in
-  let contains needle =
-    let nh = String.length json and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub json i nn = needle || go (i + 1)) in
-    Alcotest.(check bool) (Printf.sprintf "json contains %s" needle) true (nn = 0 || go 0)
-  in
-  contains "{\"counter\":\"x\",\"value\":3}";
-  contains "\"event\":\"timed\"";
-  contains "\"outcome\":\"ok\"";
-  contains "\\\"";  (* the quote in "a\"b" is escaped *)
-  ()
 
 (* ------------------------------------------------------------------ *)
 (* Cancel *)
@@ -230,9 +201,34 @@ let test_engine_cache_bit_identical () =
     (Io.placement_to_string a.Engine.placement)
     (Io.placement_to_string b.Engine.placement);
   Alcotest.(check string) "same winner" a.Engine.winner b.Engine.winner;
-  let tm = Engine.telemetry engine in
-  Alcotest.(check int) "one cache hit" 1 (Telemetry.counter tm "cache.hit");
-  Alcotest.(check int) "one cache miss" 1 (Telemetry.counter tm "cache.miss")
+  let counter name = Metrics.find_counter (Engine.metrics engine) name in
+  Alcotest.(check (option int)) "one cache hit" (Some 1) (counter "cache.hit");
+  Alcotest.(check (option int)) "one cache miss" (Some 1) (counter "cache.miss");
+  Alcotest.(check (option int)) "two runs" (Some 2) (counter "solve.runs");
+  (* Registered at create, so scrapes see it before its first increment. *)
+  Alcotest.(check (option int)) "failures counter at zero" (Some 0) (counter "solver.failed")
+
+(* Cache hits retain nothing: over 10,000 hits on a full LRU the engine's
+   live heap (after a compaction) stays flat. *)
+let test_engine_hits_bounded_memory () =
+  let items = Array.init 8 (fun i -> Io.Prec (random_prec (700 + i) 6)) in
+  let engine = Engine.create ~cache_capacity:(Array.length items) () in
+  Array.iter (fun p -> ignore (Engine.solve engine p)) items;
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let n = 10_000 in
+  for i = 0 to n - 1 do
+    let r = Engine.solve engine items.(i mod Array.length items) in
+    if r.Engine.source <> Engine.Memory_cache then Alcotest.fail "expected a cache hit"
+  done;
+  let per_solve = float_of_int (live () - before) /. float_of_int n in
+  ignore (Sys.opaque_identity (engine, items));
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grow %.2f per hit (< 5)" per_solve)
+    true (per_solve < 5.0)
 
 let test_engine_zero_budget_valid () =
   (* A zero budget trips every cancellation point immediately; the engine
@@ -321,8 +317,8 @@ let test_engine_disk_store () =
   Alcotest.(check string) "identical packing across processes"
     (Io.placement_to_string a.Engine.placement)
     (Io.placement_to_string b.Engine.placement);
-  Alcotest.(check int) "disk hit counter" 1
-    (Telemetry.counter (Engine.telemetry second) "cache.hit.disk")
+  Alcotest.(check (option int)) "disk hit counter" (Some 1)
+    (Metrics.find_counter (Engine.metrics second) "cache.hit.disk")
 
 let () =
   Alcotest.run "spp_engine"
@@ -338,8 +334,6 @@ let () =
           Alcotest.test_case "hit/miss/evict" `Quick test_lru_hit_miss_evict;
           Alcotest.test_case "replace" `Quick test_lru_replace;
         ] );
-      ( "telemetry",
-        [ Alcotest.test_case "counters and events" `Quick test_telemetry_counters_events ] );
       ( "cancel",
         [
           Alcotest.test_case "tokens" `Quick test_cancel_tokens;
@@ -361,5 +355,7 @@ let () =
             test_engine_never_worse_than_members;
           Alcotest.test_case "explicit algos" `Quick test_engine_explicit_algos;
           Alcotest.test_case "disk store" `Quick test_engine_disk_store;
+          Alcotest.test_case "cache hits retain no memory" `Quick
+            test_engine_hits_bounded_memory;
         ] );
     ]

@@ -2,8 +2,9 @@
    determinism, one-shot and delay actions), checksummed store entries
    degrading to misses, and a live server surviving injected faults —
    worker death answered with structured errors and a restarted pool,
-   idle connections reaped, overload replies carrying retry hints, and
-   the retrying client converging through all of it.
+   overload replies carrying retry hints, and the retrying client
+   converging through all of it; and both daemons (server and proxy)
+   surviving hostile clients — idle, trickling, oversized.
 
    Fault state is process-global; every test that arms it clears it in a
    [Fun.protect] finaliser so cases stay independent (alcotest runs them
@@ -18,12 +19,13 @@ module Generators = Spp_workloads.Generators
 module Engine = Spp_engine.Engine
 module Store = Spp_engine.Store
 module Fingerprint = Spp_engine.Fingerprint
-module Telemetry = Spp_engine.Telemetry
 module Metrics = Spp_obs.Metrics
 module Expo = Spp_obs.Expo
 module Protocol = Spp_server.Protocol
 module Framing = Spp_server.Framing
 module Server = Spp_server.Server
+module Frontend = Spp_server.Frontend
+module Proxy = Spp_cluster.Proxy
 module Client = Spp_server.Client
 
 let with_faults ?seed spec f =
@@ -272,10 +274,9 @@ let temp_sock () =
 let instance_text seed n = Io.prec_to_string (random_prec seed n)
 
 let base_config address engine =
-  { Server.address; workers = 1; queue_depth = 4; engine;
-    default_budget_ms = Some 2000.0; solve_workers = Some 1;
-    max_request_bytes = 1 lsl 16; slow_ms = None; idle_timeout_ms = None;
-    read_timeout_ms = None; retry_after_ms = Server.default_retry_after_ms;
+  { Server.frontend = Frontend.default address; workers = 1; queue_depth = 4; engine;
+    default_budget_ms = Some 2000.0; solve_workers = Some 1; slow_ms = None;
+    retry_after_ms = Server.default_retry_after_ms;
     max_worker_restarts = None; deadline_floor_ms = Server.default_deadline_floor_ms }
 
 let with_server config f =
@@ -295,7 +296,7 @@ let test_worker_crash_supervised () =
   let sock = temp_sock () in
   let address = Framing.Unix_sock sock in
   let engine = Engine.create () in
-  let reg = Telemetry.metrics (Engine.telemetry engine) in
+  let reg = Engine.metrics engine in
   with_faults "pool.job=once" (fun () ->
       with_server (base_config address engine) (fun _srv ->
           Client.with_connection address (fun c ->
@@ -366,27 +367,111 @@ let test_pool_death_answers_not_hangs () =
 (* Server.stop/wait in the finaliser doubles as the real assertion:
    shutdown must not hang on a dead pool. *)
 
-let test_idle_connection_reaped () =
-  let sock = temp_sock () in
-  let address = Framing.Unix_sock sock in
+(* A daemon under hostile-client test: where it listens, the registry
+   its front end counts into, the series prefix, and how to stop it. *)
+type daemon = { d_address : Framing.address; d_reg : Metrics.t; d_prefix : string;
+                d_stop : unit -> unit }
+
+(* Idle deadline longer than the read deadline, so a trickler reaped
+   well before [hostile_idle_ms] was cut by the read deadline. *)
+let hostile_idle_ms = 800.0
+let hostile_read_ms = 150.0
+let hostile_max_bytes = 4096
+
+let hostile_frontend address =
+  { (Frontend.default address) with
+    max_request_bytes = hostile_max_bytes; idle_timeout_ms = Some hostile_idle_ms;
+    read_timeout_ms = Some hostile_read_ms }
+
+let start_server_daemon () =
+  let address = Framing.Unix_sock (temp_sock ()) in
   let engine = Engine.create () in
-  let reg = Telemetry.metrics (Engine.telemetry engine) in
-  let config = { (base_config address engine) with Server.idle_timeout_ms = Some 80.0 } in
-  with_server config (fun _srv ->
-      let fd = Framing.connect address in
-      let reader = Framing.reader fd in
-      (* Send nothing: the server must reap us, observed as EOF. *)
+  let srv =
+    Server.start { (base_config address engine) with Server.frontend = hostile_frontend address }
+  in
+  { d_address = address; d_reg = Engine.metrics engine; d_prefix = "spp";
+    d_stop = (fun () -> Server.stop srv; Server.wait srv) }
+
+(* The proxy over one backend; only the proxy's front end is hostile-tuned. *)
+let start_proxy_daemon () =
+  let backend = Framing.Unix_sock (temp_sock ()) in
+  let srv = Server.start (base_config backend (Engine.create ())) in
+  let address = Framing.Unix_sock (temp_sock ()) in
+  let registry = Metrics.create () in
+  let px =
+    Proxy.start
+      { (Proxy.default_config ~address ~backends:[ backend ] ()) with
+        Proxy.frontend = hostile_frontend address; registry }
+  in
+  { d_address = address; d_reg = registry; d_prefix = "spp_proxy";
+    d_stop =
+      (fun () ->
+        Proxy.stop px;
+        Proxy.wait px;
+        Server.stop srv;
+        Server.wait srv) }
+
+(* Write one byte every 30 ms until the daemon closes the connection;
+   the elapsed time from the first byte. *)
+let trickle_until_closed fd =
+  let t0 = Clock.now_ms () in
+  let rec go () =
+    if Clock.elapsed_ms t0 > 5_000.0 then Alcotest.fail "trickling client never reaped";
+    (try ignore (Unix.write_substring fd "{" 0 1) with Unix.Unix_error _ -> ());
+    match Unix.select [ fd ] [] [] 0.03 with
+    | [], _, _ -> go ()
+    | _ -> Clock.elapsed_ms t0
+  in
+  go ()
+
+(* The client's own read bound: a daemon that never reaps fails the test
+   instead of hanging it. *)
+let read_reply reader =
+  try Framing.read_line ~idle_timeout_ms:5_000.0 reader with
+  | Framing.Timeout -> Alcotest.fail "daemon kept a hostile connection open"
+
+let test_hostile_clients start () =
+  let d = start () in
+  Fun.protect ~finally:d.d_stop (fun () ->
+      let reaped () =
+        Metrics.find_counter d.d_reg (d.d_prefix ^ "_connections_reaped_total")
+      in
+      (* Idle: send nothing; the daemon must reap us, observed as EOF. *)
+      let fd = Framing.connect d.d_address in
       let t0 = Clock.now_ms () in
-      Alcotest.(check bool) "reaped with EOF" true (Framing.read_line reader = None);
-      Alcotest.(check bool) "after the idle deadline" true (Clock.elapsed_ms t0 >= 60.0);
+      Alcotest.(check bool) "idle client reaped with EOF" true
+        (read_reply (Framing.reader fd) = None);
+      Alcotest.(check bool) "after the idle deadline" true
+        (Clock.elapsed_ms t0 >= hostile_idle_ms *. 0.8);
       Unix.close fd;
-      (match Metrics.find_counter reg "spp_connections_reaped_total" with
-       | Some n -> Alcotest.(check int) "reap counted" 1 n
-       | None -> Alcotest.fail "spp_connections_reaped_total not registered");
-      (* A fresh, active connection still works. *)
-      match Client.with_connection address (fun c -> Client.request c Protocol.Health) with
+      Alcotest.(check (option int)) "idle reap counted" (Some 1) (reaped ());
+      (* Trickle: bytes keep arriving, but the line never completes. *)
+      let fd = Framing.connect d.d_address in
+      let ms = trickle_until_closed fd in
+      Alcotest.(check bool) "trickling client reaped with EOF" true
+        (read_reply (Framing.reader fd) = None);
+      Alcotest.(check bool)
+        (Printf.sprintf "by the read deadline (%.0f ms)" ms)
+        true
+        (ms >= hostile_read_ms *. 0.8 && ms < hostile_idle_ms);
+      Unix.close fd;
+      Alcotest.(check (option int)) "trickle reap counted" (Some 2) (reaped ());
+      (* Oversized: a structured parse error, then the connection closes. *)
+      let fd = Framing.connect d.d_address in
+      Framing.write_line fd (String.make (hostile_max_bytes + 1) 'x');
+      let reader = Framing.reader fd in
+      (match Option.map Protocol.decode_response (read_reply reader) with
+       | Some (Ok (Protocol.Error { code = Protocol.Parse; message; _ })) ->
+         Alcotest.(check string) "names the limit"
+           (Printf.sprintf "request exceeds %d bytes" hostile_max_bytes)
+           message
+       | _ -> Alcotest.fail "oversized line did not get a parse error reply");
+      Alcotest.(check bool) "closed after the refusal" true (read_reply reader = None);
+      Unix.close fd;
+      (* A well-behaved client is still served. *)
+      match Client.with_connection d.d_address (fun c -> Client.request c Protocol.Health) with
       | Protocol.Health_ok _ -> ()
-      | other -> Alcotest.failf "server unhealthy after reap: %s"
+      | other -> Alcotest.failf "unhealthy after hostile clients: %s"
                    (Protocol.encode_response other))
 
 let test_overload_carries_retry_hint () =
@@ -535,11 +620,15 @@ let () =
             test_worker_crash_supervised;
           Alcotest.test_case "dead pool answers, never hangs" `Quick
             test_pool_death_answers_not_hangs;
-          Alcotest.test_case "idle connection reaped" `Quick test_idle_connection_reaped;
           Alcotest.test_case "overload carries retry hint" `Quick
             test_overload_carries_retry_hint;
           Alcotest.test_case "retry storm converges" `Quick test_retry_storm_converges;
           Alcotest.test_case "client timeout is typed" `Quick test_client_times_out;
           Alcotest.test_case "connect failure is typed" `Quick test_connect_failure_typed;
+        ] );
+      ( "hostile clients",
+        [
+          Alcotest.test_case "server" `Quick (test_hostile_clients start_server_daemon);
+          Alcotest.test_case "proxy" `Quick (test_hostile_clients start_proxy_daemon);
         ] );
     ]

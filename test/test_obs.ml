@@ -469,11 +469,9 @@ let with_server ?slow_ms f =
   let address = Framing.Unix_sock sock in
   let srv =
     Server.start
-      { Server.address; workers = 1; queue_depth = 8; engine = Engine.create ();
-        default_budget_ms = Some 2000.0; solve_workers = Some 1;
-        max_request_bytes = 1 lsl 16; slow_ms; idle_timeout_ms = None;
-        read_timeout_ms = None; retry_after_ms = Server.default_retry_after_ms;
-        max_worker_restarts = None;
+      { Server.frontend = Spp_server.Frontend.default address; workers = 1; queue_depth = 8;
+        engine = Engine.create (); default_budget_ms = Some 2000.0; solve_workers = Some 1;
+        slow_ms; retry_after_ms = Server.default_retry_after_ms; max_worker_restarts = None;
         deadline_floor_ms = Server.default_deadline_floor_ms }
   in
   Fun.protect

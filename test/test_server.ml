@@ -359,11 +359,9 @@ let with_server ?(workers = 2) ?(queue_depth = 16) f =
   let address = Framing.Unix_sock sock in
   let srv =
     Server.start
-      { Server.address; workers; queue_depth; engine = Engine.create ();
-        default_budget_ms = Some 2000.0; solve_workers = Some 1;
-        max_request_bytes = 1 lsl 16; slow_ms = None;
-        idle_timeout_ms = None; read_timeout_ms = None;
-        retry_after_ms = Server.default_retry_after_ms;
+      { Server.frontend = Spp_server.Frontend.default address; workers; queue_depth;
+        engine = Engine.create (); default_budget_ms = Some 2000.0; solve_workers = Some 1;
+        slow_ms = None; retry_after_ms = Server.default_retry_after_ms;
         max_worker_restarts = None;
         deadline_floor_ms = Server.default_deadline_floor_ms }
   in
@@ -468,11 +466,9 @@ let test_server_graceful_shutdown () =
   let address = Framing.Unix_sock sock in
   let srv =
     Server.start
-      { Server.address; workers = 1; queue_depth = 4; engine = Engine.create ();
-        default_budget_ms = Some 2000.0; solve_workers = Some 1;
-        max_request_bytes = 1 lsl 16; slow_ms = None;
-        idle_timeout_ms = None; read_timeout_ms = None;
-        retry_after_ms = Server.default_retry_after_ms;
+      { Server.frontend = Spp_server.Frontend.default address; workers = 1; queue_depth = 4;
+        engine = Engine.create (); default_budget_ms = Some 2000.0; solve_workers = Some 1;
+        slow_ms = None; retry_after_ms = Server.default_retry_after_ms;
         max_worker_restarts = None;
         deadline_floor_ms = Server.default_deadline_floor_ms }
   in
@@ -515,10 +511,9 @@ let test_server_shutdown_request () =
   let address = Framing.Unix_sock sock in
   let srv =
     Server.start
-      { Server.address; workers = 1; queue_depth = 4; engine = Engine.create ();
-        default_budget_ms = None; solve_workers = Some 1; max_request_bytes = 1 lsl 16;
-        slow_ms = None; idle_timeout_ms = None; read_timeout_ms = None;
-        retry_after_ms = Server.default_retry_after_ms;
+      { Server.frontend = Spp_server.Frontend.default address; workers = 1; queue_depth = 4;
+        engine = Engine.create (); default_budget_ms = None; solve_workers = Some 1;
+        slow_ms = None; retry_after_ms = Server.default_retry_after_ms;
         max_worker_restarts = None;
         deadline_floor_ms = Server.default_deadline_floor_ms }
   in
