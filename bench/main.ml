@@ -37,7 +37,7 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "================================================================\n"
 
-module Json = Spp_server.Json
+module Json = Spp_util.Json
 
 (* Machine-readable twin of each experiment's printed tables, written to
    BENCH_<id>.json in the working directory. Cells that parse as numbers

@@ -34,13 +34,12 @@ module Frontend = Spp_server.Frontend
 module Client = Spp_server.Client
 module Signals = Spp_server.Signals
 module Metrics_http = Spp_server.Metrics_http
-module Json = Spp_server.Json
+module Json = Spp_util.Json
 module Proxy = Spp_cluster.Proxy
 module Clock = Spp_util.Clock
 module Stats = Spp_util.Stats
 module Log = Spp_obs.Log
 module Trace = Spp_obs.Trace
-module Field = Spp_obs.Field
 module Metrics = Spp_obs.Metrics
 module Promtext = Spp_obs.Promtext
 open Cmdliner
@@ -789,27 +788,113 @@ let resolve_address socket port host =
     Printf.eprintf "error: pass --socket PATH or --port PORT\n";
     exit 64
 
+(* Flags and start-up shared by [spp serve] and [spp proxy]. *)
+type daemon_opts = {
+  metrics_port : int option;
+  log_file : string option;
+  faults : string option;
+  fault_seed : int option;
+}
+
+(* [fault_example] is the daemon's own spec example and point list. *)
+let daemon_opts_term ~fault_example =
+  let metrics_port =
+    Arg.(value & opt (some int) None
+         & info [ "metrics-port" ]
+             ~doc:"Serve Prometheus text-format metrics over HTTP on this TCP port \
+                   (GET /metrics; port 0 picks a free one).")
+  in
+  let log_file =
+    Arg.(value & opt (some string) None
+         & info [ "log-file" ] ~doc:"Append JSON log lines to this file instead of stderr.")
+  in
+  let faults =
+    Arg.(value & opt (some string) None
+         & info [ "faults" ] ~docv:"SPEC"
+             ~doc:("Arm deterministic fault injection, e.g. " ^ fault_example
+                   ^ " Also read from $(b,SPP_FAULTS) (this flag wins)."))
+  in
+  let fault_seed =
+    Arg.(value & opt (some int) None
+         & info [ "fault-seed" ]
+             ~doc:"PRNG seed for fault probabilities (also $(b,SPP_FAULT_SEED); default 0).")
+  in
+  Term.(const (fun metrics_port log_file faults fault_seed ->
+            { metrics_port; log_file; faults; fault_seed })
+        $ metrics_port $ log_file $ faults $ fault_seed)
+
 (* Arm Spp_util.Fault from --faults / SPP_FAULTS (flag wins). Exits with
    EX_USAGE on a malformed spec: silently injecting nothing would make a
    chaos run vacuously green. *)
-let arm_faults ~flag ~seed_flag =
-  let spec = match flag with Some s -> Some s | None -> Sys.getenv_opt "SPP_FAULTS" in
+let arm_faults ~name opts =
+  let spec = match opts.faults with Some s -> Some s | None -> Sys.getenv_opt "SPP_FAULTS" in
   match spec with
   | None -> ()
   | Some spec -> (
     let seed =
-      match seed_flag with
+      match opts.fault_seed with
       | Some s -> Some s
       | None -> Option.bind (Sys.getenv_opt "SPP_FAULT_SEED") int_of_string_opt
     in
     match Spp_util.Fault.configure ?seed spec with
     | Ok () ->
       if Spp_util.Fault.active () then
-        Printf.eprintf "spp serve: fault injection armed: %s\n%!"
+        Printf.eprintf "spp %s: fault injection armed: %s\n%!" name
           (Spp_util.Fault.describe ())
     | Error msg ->
       Printf.eprintf "error: --faults: %s\n" msg;
       exit 64)
+
+(* Run one daemon to completion: arm faults, route the log, [start] it
+   (usage errors exit 64, listen errors 66), put the scrape endpoint and
+   runtime sampler beside it, print [banner], then block until a signal
+   has drained it and tear the sidecars down. Returns the stopped
+   daemon. *)
+let run_daemon ~name ~address opts ~start ~registry ~stop ~wait ~banner =
+  arm_faults ~name opts;
+  Log.init_from_env ();
+  Option.iter
+    (fun path ->
+      try Log.set_file path with
+      | Sys_error msg ->
+        Printf.eprintf "error: cannot open log file: %s\n" msg;
+        exit exit_io_error)
+    opts.log_file;
+  let d =
+    try start () with
+    | Invalid_argument msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 64
+    | Unix.Unix_error (e, _, arg) ->
+      Printf.eprintf "error: cannot listen on %s: %s%s\n" (Framing.address_to_string address)
+        (Unix.error_message e) (if arg = "" then "" else " (" ^ arg ^ ")");
+      exit exit_io_error
+  in
+  let scrape =
+    Option.map
+      (fun p ->
+        try Metrics_http.start ~port:p (registry d) with
+        | Unix.Unix_error (e, _, _) ->
+          Printf.eprintf "error: cannot bind metrics port %d: %s\n" p (Unix.error_message e);
+          stop d;
+          wait d;
+          exit exit_io_error)
+      opts.metrics_port
+  in
+  (* GC / CPU gauges only matter where a scraper can see them. *)
+  let sampler = Option.map (fun _ -> Spp_obs.Runtime.start (registry d)) scrape in
+  banner ();
+  Option.iter
+    (fun s ->
+      Printf.eprintf "spp %s: metrics on http://127.0.0.1:%d/metrics\n%!" name
+        (Metrics_http.port s))
+    scrape;
+  Signals.on_termination (fun () -> stop d);
+  wait d;
+  Option.iter Spp_obs.Runtime.stop sampler;
+  Option.iter Metrics_http.stop scrape;
+  Printf.eprintf "spp %s: drained, exiting\n%!" name;
+  d
 
 let serve_cmd =
   let workers =
@@ -822,16 +907,6 @@ let serve_cmd =
          & info [ "queue-depth" ]
              ~doc:"Admission queue bound; solve requests beyond it get an immediate \
                    $(i,overloaded) error.")
-  in
-  let metrics_port =
-    Arg.(value & opt (some int) None
-         & info [ "metrics-port" ]
-             ~doc:"Serve Prometheus text-format metrics over HTTP on this TCP port \
-                   (GET /metrics; port 0 picks a free one).")
-  in
-  let log_file =
-    Arg.(value & opt (some string) None
-         & info [ "log-file" ] ~doc:"Append JSON log lines to this file instead of stderr.")
   in
   let slow_ms =
     Arg.(value & opt (some float) None
@@ -868,23 +943,9 @@ let serve_cmd =
                    this with $(i,wont_make_it) instead of burning a worker; checked at \
                    admission and again after the queue wait.")
   in
-  let faults =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"SPEC"
-             ~doc:"Arm deterministic fault injection, e.g. \
-                   $(b,store.read=0.5,pool.job=once,engine.solve=delay200\\@0.1). Points: \
-                   store.read, store.write, framing.read, framing.write, pool.job, \
-                   engine.solve, engine.incumbent. Also read from $(b,SPP_FAULTS) (this \
-                   flag wins).")
-  in
-  let fault_seed =
-    Arg.(value & opt (some int) None
-         & info [ "fault-seed" ]
-             ~doc:"PRNG seed for fault probabilities (also $(b,SPP_FAULT_SEED); default 0).")
-  in
   let run socket port host workers queue_depth budget_ms cache_dir no_cache cache_max stats_json
-      metrics_port log_file slow_ms idle_timeout_ms read_timeout_ms retry_after_ms
-      max_worker_restarts deadline_floor_ms faults fault_seed =
+      slow_ms idle_timeout_ms read_timeout_ms retry_after_ms max_worker_restarts
+      deadline_floor_ms opts =
     let address = resolve_address socket port host in
     (match workers with
      | Some w when w < 1 ->
@@ -913,63 +974,33 @@ let serve_cmd =
       Printf.eprintf "error: --deadline-floor-ms must be >= 0\n";
       exit 1
     end;
-    arm_faults ~flag:faults ~seed_flag:fault_seed;
-    Log.init_from_env ();
-    (match log_file with
-     | None -> ()
-     | Some path -> (
-       try Log.set_file path with
-       | Sys_error msg ->
-         Printf.eprintf "error: cannot open log file: %s\n" msg;
-         exit exit_io_error));
     let available = Spp_util.Parallel.available_workers () in
     let workers = match workers with Some w -> w | None -> max 1 available in
-    let engine = make_engine ~cache_dir ~no_cache ~cache_max in
-    let cfg =
-      { Server.frontend =
-          { (Frontend.default address) with
-            idle_timeout_ms = (if idle_timeout_ms > 0.0 then Some idle_timeout_ms else None);
-            read_timeout_ms = (if read_timeout_ms > 0.0 then Some read_timeout_ms else None) };
-        workers; queue_depth; engine; default_budget_ms = budget_ms;
-        (* Each worker races portfolio members on its own domains; narrow the
-           per-solve width so workers * racers stays near the core count. *)
-        solve_workers = Some (max 1 (available / workers)); slow_ms; retry_after_ms;
-        max_worker_restarts; deadline_floor_ms }
+    let start () =
+      let engine = make_engine ~cache_dir ~no_cache ~cache_max in
+      let cfg =
+        { Server.frontend =
+            { (Frontend.default address) with
+              idle_timeout_ms = (if idle_timeout_ms > 0.0 then Some idle_timeout_ms else None);
+              read_timeout_ms = (if read_timeout_ms > 0.0 then Some read_timeout_ms else None) };
+          workers; queue_depth; engine; default_budget_ms = budget_ms;
+          (* Each worker races portfolio members on its own domains; narrow the
+             per-solve width so workers * racers stays near the core count. *)
+          solve_workers = Some (max 1 (available / workers)); slow_ms; retry_after_ms;
+          max_worker_restarts; deadline_floor_ms }
+      in
+      (Server.start cfg, engine)
     in
-    let srv =
-      try Server.start cfg with
-      | Unix.Unix_error (e, _, arg) ->
-        Printf.eprintf "error: cannot listen on %s: %s%s\n" (Framing.address_to_string address)
-          (Unix.error_message e) (if arg = "" then "" else " (" ^ arg ^ ")");
-        exit exit_io_error
+    let _, engine =
+      run_daemon ~name:"serve" ~address opts ~start
+        ~registry:(fun (_, engine) -> Engine.metrics engine)
+        ~stop:(fun (srv, _) -> Server.stop srv)
+        ~wait:(fun (srv, _) -> Server.wait srv)
+        ~banner:(fun () ->
+          Printf.eprintf "spp serve: listening on %s (%d worker%s, queue depth %d)\n%!"
+            (Framing.address_to_string address) workers (if workers = 1 then "" else "s")
+            queue_depth)
     in
-    let scrape =
-      match metrics_port with
-      | None -> None
-      | Some p -> (
-        try Some (Metrics_http.start ~port:p (Engine.metrics engine)) with
-        | Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "error: cannot bind metrics port %d: %s\n" p (Unix.error_message e);
-          Server.stop srv;
-          Server.wait srv;
-          exit exit_io_error)
-    in
-    (* GC / CPU gauges only matter where a scraper can see them. *)
-    let sampler =
-      Option.map
-        (fun _ -> Spp_obs.Runtime.start (Engine.metrics engine))
-        scrape
-    in
-    Printf.eprintf "spp serve: listening on %s (%d worker%s, queue depth %d)\n%!"
-      (Framing.address_to_string address) workers (if workers = 1 then "" else "s") queue_depth;
-    Option.iter
-      (fun s -> Printf.eprintf "spp serve: metrics on http://127.0.0.1:%d/metrics\n%!" (Metrics_http.port s))
-      scrape;
-    Signals.on_termination (fun () -> Server.stop srv);
-    Server.wait srv;
-    Option.iter Spp_obs.Runtime.stop sampler;
-    Option.iter Metrics_http.stop scrape;
-    Printf.eprintf "spp serve: drained, exiting\n%!";
     write_stats engine [] stats_json
   in
   Cmd.v
@@ -977,9 +1008,14 @@ let serve_cmd =
        ~doc:"Run the portfolio engine as a daemon on a Unix or TCP socket (see README.md for \
              the wire protocol)")
     Term.(const run $ socket_arg $ port_arg $ host_arg $ workers $ queue_depth $ budget_arg
-          $ cache_dir_arg $ no_cache_arg $ cache_max_arg $ stats_json_arg $ metrics_port
-          $ log_file $ slow_ms $ idle_timeout_ms $ read_timeout_ms $ retry_after_ms
-          $ max_worker_restarts $ deadline_floor_ms $ faults $ fault_seed)
+          $ cache_dir_arg $ no_cache_arg $ cache_max_arg $ stats_json_arg $ slow_ms
+          $ idle_timeout_ms $ read_timeout_ms $ retry_after_ms $ max_worker_restarts
+          $ deadline_floor_ms
+          $ daemon_opts_term
+              ~fault_example:
+                "$(b,store.read=0.5,pool.job=once,engine.solve=delay200@0.1). Points: \
+                 store.read, store.write, framing.read, framing.write, pool.job, \
+                 engine.solve, engine.incumbent.")
 
 let exit_code_of_error = function
   | Protocol.Parse | Protocol.Bad_request | Protocol.Bad_instance -> exit_parse_error
@@ -1089,38 +1125,20 @@ let client_cmd =
           (if attempts > 1 then Printf.sprintf " (after %d attempts)" attempts else "");
         exit (exit_code_of_client_error kind)
     in
-    (* Render a reply-embedded span tree (the {!Trace.to_json} shape, as
-       stitched by the proxy) in the same indented style as [spp trace].
-       Lines are '#'-prefixed like the other reply headers, so the output
-       still round-trips through the instance parser. *)
+    (* Render a reply-embedded span tree (as stitched by the proxy) in
+       the same indented style as [spp trace]. Lines are '#'-prefixed like
+       the other reply headers, so the output still round-trips through
+       the instance parser. *)
     let print_reply_trace j =
-      let num = function
-        | Some (Json.Float f) -> Some f
-        | Some (Json.Int i) -> Some (float_of_int i)
-        | _ -> None
+      let rec go indent (i : Trace.imported) =
+        Printf.printf "# %s%s %s%s\n" indent i.Trace.i_name
+          (match i.Trace.i_dur_ms with Some d -> Printf.sprintf "%.2f ms" d | None -> "open")
+          (String.concat ""
+             (List.map (fun (k, v) -> Printf.sprintf "  %s=%s" k (Json.to_string v))
+                i.Trace.i_fields));
+        List.iter (go (indent ^ "  ")) i.Trace.i_children
       in
-      let rec go indent j =
-        match Json.member "name" j with
-        | Some (Json.String name) ->
-          let dur =
-            match num (Json.member "ms" j) with
-            | Some d -> Printf.sprintf "%.2f ms" d
-            | None -> "open"
-          in
-          let fields =
-            match Json.member "fields" j with
-            | Some (Json.Obj kvs) ->
-              String.concat ""
-                (List.map (fun (k, v) -> Printf.sprintf "  %s=%s" k (Json.to_string v)) kvs)
-            | _ -> ""
-          in
-          Printf.printf "# %s%s %s%s\n" indent name dur fields;
-          (match Json.member "spans" j with
-           | Some (Json.List l) -> List.iter (go (indent ^ "  ")) l
-           | _ -> ())
-        | _ -> ()
-      in
-      Option.iter (go "") (Json.member "root" j)
+      Option.iter (go "") (Trace.imported_of_json j)
     in
     match resp with
     | Protocol.Error { code; message; _ } ->
@@ -1460,16 +1478,6 @@ let proxy_cmd =
          & info [ "revive-after" ]
              ~doc:"Consecutive probe successes before an evicted backend is readmitted.")
   in
-  let metrics_port =
-    Arg.(value & opt (some int) None
-         & info [ "metrics-port" ]
-             ~doc:"Serve Prometheus text-format metrics over HTTP on this TCP port \
-                   (GET /metrics; port 0 picks a free one).")
-  in
-  let log_file =
-    Arg.(value & opt (some string) None
-         & info [ "log-file" ] ~doc:"Append JSON log lines to this file instead of stderr.")
-  in
   let hedge_ms =
     let parse s =
       match String.lowercase_ascii s with
@@ -1506,31 +1514,10 @@ let proxy_cmd =
          & info [ "breaker-cooldown-ms" ]
              ~doc:"How long an open breaker waits before trying one half-open probe request.")
   in
-  let faults =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"SPEC"
-             ~doc:"Arm deterministic fault injection, e.g. \
-                   $(b,proxy.upstream=0.2,proxy.health=once,proxy.hedge=once). Also read \
-                   from $(b,SPP_FAULTS) (this flag wins).")
-  in
-  let fault_seed =
-    Arg.(value & opt (some int) None
-         & info [ "fault-seed" ]
-             ~doc:"PRNG seed for fault probabilities (also $(b,SPP_FAULT_SEED); default 0).")
-  in
   let run socket port host backends replicas cache_cap pool_size upstream_timeout_ms failover
       probe_ms fail_after revive_after hedge breaker_window breaker_threshold
-      breaker_cooldown_ms metrics_port log_file faults fault_seed =
+      breaker_cooldown_ms opts =
     let address = resolve_address socket port host in
-    arm_faults ~flag:faults ~seed_flag:fault_seed;
-    Log.init_from_env ();
-    (match log_file with
-     | None -> ()
-     | Some path -> (
-       try Log.set_file path with
-       | Sys_error msg ->
-         Printf.eprintf "error: cannot open log file: %s\n" msg;
-         exit exit_io_error));
     let registry = Spp_obs.Metrics.create () in
     let cfg =
       { (Proxy.default_config ~address ~backends ()) with
@@ -1543,45 +1530,17 @@ let proxy_cmd =
            lockstep. *)
         seed = Unix.getpid () lxor int_of_float (Clock.now_ms ()) }
     in
-    let px =
-      try Proxy.start cfg with
-      | Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 64
-      | Unix.Unix_error (e, _, arg) ->
-        Printf.eprintf "error: cannot listen on %s: %s%s\n"
-          (Framing.address_to_string address) (Unix.error_message e)
-          (if arg = "" then "" else " (" ^ arg ^ ")");
-        exit exit_io_error
-    in
-    let scrape =
-      match metrics_port with
-      | None -> None
-      | Some p -> (
-        try Some (Metrics_http.start ~port:p registry) with
-        | Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "error: cannot bind metrics port %d: %s\n" p (Unix.error_message e);
-          Proxy.stop px;
-          Proxy.wait px;
-          exit exit_io_error)
-    in
-    let sampler = Option.map (fun _ -> Spp_obs.Runtime.start registry) scrape in
-    Printf.eprintf "spp proxy: listening on %s over %d backend%s\n%!"
-      (Framing.address_to_string address) (List.length backends)
-      (if List.length backends = 1 then "" else "s");
-    List.iter
-      (fun b -> Printf.eprintf "spp proxy:   backend %s\n%!" (Framing.address_to_string b))
-      backends;
-    Option.iter
-      (fun s ->
-        Printf.eprintf "spp proxy: metrics on http://127.0.0.1:%d/metrics\n%!"
-          (Metrics_http.port s))
-      scrape;
-    Signals.on_termination (fun () -> Proxy.stop px);
-    Proxy.wait px;
-    Option.iter Spp_obs.Runtime.stop sampler;
-    Option.iter Metrics_http.stop scrape;
-    Printf.eprintf "spp proxy: drained, exiting\n%!"
+    ignore
+      (run_daemon ~name:"proxy" ~address opts
+         ~start:(fun () -> Proxy.start cfg)
+         ~registry:(fun _ -> registry) ~stop:Proxy.stop ~wait:Proxy.wait
+         ~banner:(fun () ->
+           Printf.eprintf "spp proxy: listening on %s over %d backend%s\n%!"
+             (Framing.address_to_string address) (List.length backends)
+             (if List.length backends = 1 then "" else "s");
+           List.iter
+             (fun b -> Printf.eprintf "spp proxy:   backend %s\n%!" (Framing.address_to_string b))
+             backends))
   in
   Cmd.v
     (Cmd.info "proxy"
@@ -1591,7 +1550,9 @@ let proxy_cmd =
     Term.(const run $ socket_arg $ port_arg $ host_arg $ backends $ replicas $ cache_cap
           $ pool_size $ upstream_timeout_ms $ failover $ probe_ms $ fail_after $ revive_after
           $ hedge_ms $ breaker_window $ breaker_threshold $ breaker_cooldown_ms
-          $ metrics_port $ log_file $ faults $ fault_seed)
+          $ daemon_opts_term
+              ~fault_example:
+                "$(b,proxy.upstream=0.2,proxy.health=once,proxy.hedge=once).")
 
 (* ------------------------------------------------------------------ *)
 (* trace *)
@@ -1616,8 +1577,8 @@ let trace_cmd =
     in
     Trace.close
       ~fields:
-        [ ("winner", Field.String res.Engine.winner);
-          ("height", Field.String (Q.to_string res.Engine.height)) ]
+        [ ("winner", Json.String res.Engine.winner);
+          ("height", Json.String (Q.to_string res.Engine.height)) ]
       tr;
     if json then print_endline (Trace.to_json tr)
     else begin

@@ -7,6 +7,7 @@ module I = Spp_core.Instance
 module Validate = Spp_core.Validate
 module LB = Spp_core.Lower_bounds
 module Mutate = Spp_workloads.Mutate
+module Prng = Spp_util.Prng
 open Runner
 
 type t = Io.parsed Runner.property
@@ -686,6 +687,97 @@ let sound_engine_degraded =
       end)
 
 (* ------------------------------------------------------------------ *)
+(* Wire decoders *)
+
+module Json = Spp_util.Json
+module Protocol = Spp_server.Protocol
+
+(* A random JSON value: every constructor, arbitrary bytes in strings and
+   keys, ints over the whole range, finite floats over many magnitudes. *)
+let rec gen_json rng depth =
+  let bytes () = String.init (Prng.int rng 6) (fun _ -> Char.chr (Prng.int rng 256)) in
+  match Prng.int rng (if depth = 0 then 5 else 7) with
+  | 0 -> Json.Null
+  | 1 -> Json.Bool (Prng.bool rng)
+  | 2 -> Json.Int (Int64.to_int (Prng.bits64 rng) asr Prng.int rng 63)
+  | 3 ->
+    (* Half the draws near the int range, where integral floats print
+       without an exponent. *)
+    let exp = if Prng.bool rng then Prng.int_in rng (-1070) 1023 else Prng.int_in rng (-8) 60 in
+    let f = Float.ldexp (Prng.float_in rng (-1.0) 1.0) exp in
+    Json.Float (if Prng.bool rng then Float.round f else f)
+  | 4 -> Json.String (bytes ())
+  | 5 -> Json.List (List.init (Prng.int rng 4) (fun _ -> gen_json rng (depth - 1)))
+  | _ -> Json.Obj (List.init (Prng.int rng 4) (fun _ -> (bytes (), gen_json rng (depth - 1))))
+
+(* Hostile lines: truncations and byte flips of a real request line,
+   nesting past the parser's depth cap, and 400-digit numbers. *)
+let hostile_lines rng line =
+  let n = String.length line in
+  let flip () =
+    let b = Bytes.of_string line in
+    let i = Prng.int rng n in
+    Bytes.set b i
+      (Char.chr
+         (if Prng.bool rng then Char.code line.[i] lxor (1 lsl Prng.int rng 8)
+          else Prng.int rng 256));
+    Bytes.to_string b
+  in
+  let deep o c = String.make 200 o ^ String.make 200 c in
+  let digits = String.init 400 (fun i -> if i = 0 then '9' else Char.chr (48 + Prng.int rng 10)) in
+  List.init 48 (fun _ -> String.sub line 0 (Prng.int rng n))
+  @ List.init 48 (fun _ -> flip ())
+  @ [ deep '[' ']'; String.make 200 '['; String.concat "" (List.init 200 (fun _ -> {|{"a":|}));
+      {|{"op":"solve","instance":|} ^ deep '[' ']' ^ "}";
+      digits; "-" ^ digits; "0." ^ digits; digits ^ "e400"; "1e-" ^ digits;
+      {|{"op":"solve","instance":"","budget_ms":|} ^ digits ^ "}";
+      {|{"op":"solve","instance":"","deadline_ms":-|} ^ digits ^ ".5e9}" ]
+
+let json_decode =
+  prop "json.decode"
+    "Json.of_string and the Protocol decoders return Ok or Error on truncated, byte-flipped, \
+     deeply nested and huge-number input, never raise; every value they accept and every \
+     generated value round-trips through Json.to_string"
+    [ "prec"; "release"; "json" ]
+    (fun parsed ->
+      let rng = Prng.create (stream_seed_of parsed) in
+      let req =
+        Protocol.Solve
+          { instance =
+              (match parsed with
+               | Io.Prec inst -> Io.prec_to_string inst
+               | Io.Release inst -> Io.release_to_string inst);
+            budget_ms = Some (Prng.float rng 1e4); deadline_ms = None;
+            algos = Some [ "dc"; "ls" ]; trace_id = Some "t\"1\n" }
+      in
+      let line = Protocol.encode_request req in
+      let round_trips v = Json.of_string (Json.to_string v) = Ok v in
+      let problem input =
+        match
+          ( Json.of_string input,
+            Protocol.decode_request input,
+            Protocol.decode_response input )
+        with
+        | Ok v, _, _ when not (round_trips v) ->
+          Some (Printf.sprintf "accepted %S but re-printed it as %S" input (Json.to_string v))
+        | _ -> None
+        | exception e -> Some (Printf.sprintf "%s on %S" (Printexc.to_string e) input)
+      in
+      let generated = List.init 16 (fun _ -> gen_json rng 4) in
+      all_pass
+        [ (Protocol.decode_request line = Ok req,
+           fun () -> Printf.sprintf "request line %S does not decode to itself" line);
+          (match List.find_opt (fun v -> not (round_trips v)) generated with
+           | None -> (true, fun () -> "")
+           | Some v ->
+             ( false,
+               fun () ->
+                 Printf.sprintf "generated value %S does not round-trip" (Json.to_string v) ));
+          (match List.find_map problem (hostile_lines rng line) with
+           | None -> (true, fun () -> "")
+           | Some msg -> (false, fun () -> msg)) ])
+
+(* ------------------------------------------------------------------ *)
 (* Planted bug (self test) *)
 
 let buggy_pack (inst : I.Prec.t) =
@@ -722,6 +814,7 @@ let all =
     diff_engine; sound_engine_degraded;
     meta_relabel; meta_edge_drop; meta_release_slacken;
     sound_sim_ff; sound_sim_buffered; sound_sim_repack; sim_stream;
+    json_decode;
   ]
 
 let select ?algos ~variant () =

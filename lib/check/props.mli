@@ -30,6 +30,13 @@
     honest per-cell cost accounting, and arrival streams replay bit for
     bit from {!stream_seed_of}.
 
+    {b Wire decoders} ([json.decode]) — {!Spp_util.Json.of_string} and
+    the {!Spp_server.Protocol} decoders are total on truncated,
+    byte-flipped, deeply nested and 400-digit-number input, and every
+    value they accept or that is generated round-trips through
+    [Json.to_string]. The case's instance becomes the request line and
+    seeds the mutations.
+
     Every property takes an {!Spp_core.Io.parsed} instance and returns
     [Skip] when its guard (variant, uniformity, size gate for the
     exponential solvers) does not hold. *)

@@ -1,7 +1,7 @@
 module Client = Spp_server.Client
 module Framing = Spp_server.Framing
 module Frontend = Spp_server.Frontend
-module Json = Spp_server.Json
+module Json = Spp_util.Json
 module Bqueue = Spp_server.Bqueue
 module Deadline = Spp_util.Deadline
 module Protocol = Spp_server.Protocol
@@ -13,7 +13,6 @@ module Prng = Spp_util.Prng
 module Metrics = Spp_obs.Metrics
 module Trace = Spp_obs.Trace
 module Log = Spp_obs.Log
-module Field = Spp_obs.Field
 
 type hedge_policy = Hedge_off | Hedge_auto | Hedge_fixed of float
 
@@ -148,11 +147,11 @@ let note_result t b ok =
   | `Evicted ->
     count_membership t name "spp_proxy_evictions_total";
     Log.warn "backend evicted from ring"
-      [ ("backend", Field.String name); ("live", Field.Int live) ]
+      [ ("backend", Json.String name); ("live", Json.Int live) ]
   | `Readmitted ->
     count_membership t name "spp_proxy_readmissions_total";
     Log.info "backend readmitted to ring"
-      [ ("backend", Field.String name); ("live", Field.Int live) ]
+      [ ("backend", Json.String name); ("live", Json.Int live) ]
 
 let probe_backend t b =
   let ok =
@@ -221,46 +220,6 @@ let no_backend_error t message =
     { code = Protocol.Overloaded; message;
       retry_after_ms = Some (int_of_float t.cfg.probe_interval_ms) }
 
-(* Rebuild a backend's reply-embedded span tree (the {!Trace.to_json}
-   shape: [{"trace_id":...,"root":{span}}], spans nested under ["spans"])
-   as a {!Trace.imported}, ready to graft under the proxy's [upstream]
-   span. Malformed nodes are dropped silently — a trace is best effort
-   and must never fail a solve. *)
-let rec imported_of_span j =
-  match Json.member "name" j with
-  | Some (Json.String name) ->
-    let num = function
-      | Some (Json.Float f) -> Some f
-      | Some (Json.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
-    let fields =
-      match Json.member "fields" j with
-      | Some (Json.Obj kvs) ->
-        List.filter_map
-          (fun (k, v) ->
-            match v with
-            | Json.String s -> Some (k, Field.String s)
-            | Json.Int i -> Some (k, Field.Int i)
-            | Json.Float f -> Some (k, Field.Float f)
-            | Json.Bool b -> Some (k, Field.Bool b)
-            | Json.Null | Json.List _ | Json.Obj _ -> None)
-          kvs
-      | _ -> []
-    in
-    let children =
-      match Json.member "spans" j with
-      | Some (Json.List l) -> List.filter_map imported_of_span l
-      | _ -> []
-    in
-    Some
-      { Trace.i_name = name;
-        i_start_ms = Option.value (num (Json.member "start_ms" j)) ~default:0.0;
-        i_dur_ms = num (Json.member "ms" j); i_fields = fields; i_children = children }
-  | _ -> None
-
-let imported_of_trace_json j = Option.bind (Json.member "root" j) imported_of_span
-
 (* How long to let the leading attempt run before re-issuing the solve
    to the next candidate. [None] = hedging off (policy off, or auto
    without enough latency history yet). *)
@@ -313,7 +272,7 @@ let run_attempt t ~instance ~budget_ms ~deadline ~algos ~trace ~hedged b =
         Trace.with_span tr ~parent:(Trace.root tr)
           (if hedged then "hedge" else "upstream")
           (fun s ->
-            Trace.add_fields tr s [ ("backend", Field.String name) ];
+            Trace.add_fields tr s [ ("backend", Json.String name) ];
             match call () with
             | Protocol.Solve_ok ({ trace = Some j; _ } as r) ->
               (* Graft the backend's tree under this span, rebased onto
@@ -322,7 +281,7 @@ let run_attempt t ~instance ~budget_ms ~deadline ~algos ~trace ~hedged b =
                  supersedes it. *)
               Option.iter
                 (fun imp -> Trace.graft tr ~parent:s ~offset_ms:(Trace.start_ms s) imp)
-                (imported_of_trace_json j);
+                (Trace.imported_of_json j);
               Protocol.Solve_ok { r with Protocol.trace = None }
             | other -> other)
     in
@@ -362,9 +321,9 @@ let run_attempt t ~instance ~budget_ms ~deadline ~algos ~trace ~hedged b =
       note_result t b false;
       Breaker.record b.brk ~ok:false;
       Log.warn "upstream call failed"
-        [ ("backend", Field.String name);
-          ("kind", Field.String (Client.kind_to_string kind));
-          ("error", Field.String message) ];
+        [ ("backend", Json.String name);
+          ("kind", Json.String (Client.kind_to_string kind));
+          ("error", Json.String message) ];
       Next None
   end
 
@@ -477,14 +436,10 @@ let snoop t fp = function
   | _ -> ()
 
 (* The client asked for a trace: embed the proxy's stitched tree in the
-   reply. Serialised before the root closes (the reply write belongs to
-   the requester's side of the timeline); {!Trace.to_json} renders the
-   open root without an ["ms"] field. *)
+   reply. Built before the root closes (the reply write belongs to the
+   requester's side of the timeline), so the root has no ["ms"] field. *)
 let embed_trace trace (r : Protocol.solve_reply) =
-  match trace with
-  | None -> { r with Protocol.trace = None }
-  | Some tr ->
-    { r with Protocol.trace = Result.to_option (Json.of_string (Trace.to_json tr)) }
+  { r with Protocol.trace = Option.map Trace.json trace }
 
 let handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
   (* Pin the propagated deadline to the proxy's clock at receipt: routing,
@@ -511,8 +466,8 @@ let handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
         let s = Trace.span tr ~parent:(Trace.root tr) "route" in
         Trace.finish
           ~fields:
-            [ ("fingerprint", Field.String fp);
-              ("cache", Field.String (if cached = None then "miss" else "hit")) ]
+            [ ("fingerprint", Json.String fp);
+              ("cache", Json.String (if cached = None then "miss" else "hit")) ]
           tr s)
       trace;
     (match cached with
@@ -542,7 +497,7 @@ let handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
                let o = Coalesce.run t.coalesce fp lead in
                Trace.add_fields tr s
                  [ ( "role",
-                     Field.String (match o with `Led _ -> "led" | `Joined _ -> "joined") ) ];
+                     Json.String (match o with `Led _ -> "led" | `Joined _ -> "joined") ) ];
                o)
        in
        let resp =
@@ -668,10 +623,10 @@ let start (cfg : config) =
       metrics = metrics t };
   t.prober <- Some (Thread.create (fun () -> prober_loop t) ());
   Log.info "proxy listening"
-    [ ("address", Field.String (Framing.address_to_string cfg.frontend.address));
-      ("backends", Field.Int (Array.length backends));
-      ("replicas", Field.Int cfg.replicas);
-      ("cache_capacity", Field.Int cfg.cache_capacity) ];
+    [ ("address", Json.String (Framing.address_to_string cfg.frontend.address));
+      ("backends", Json.Int (Array.length backends));
+      ("replicas", Json.Int cfg.replicas);
+      ("cache_capacity", Json.Int cfg.cache_capacity) ];
   t
 
 let wait t =

@@ -212,7 +212,7 @@ let race_one parsed cancel incumbent trace (spec : Portfolio.spec) =
       (fun (tr, s) ->
         let pf =
           List.filter_map
-            (fun (k, v) -> if v > 0 then Some (k, Spp_obs.Field.Int v) else None)
+            (fun (k, v) -> if v > 0 then Some (k, Spp_util.Json.Int v) else None)
             [ ("pivots", prof.Spp_obs.Profile.pivots);
               ("bb_nodes", prof.Spp_obs.Profile.bb_nodes);
               ("bb_pruned", prof.Spp_obs.Profile.bb_pruned);
@@ -221,7 +221,7 @@ let race_one parsed cancel incumbent trace (spec : Portfolio.spec) =
               ("colgen_rounds", prof.Spp_obs.Profile.colgen_rounds) ]
         in
         Trace.finish
-          ~fields:(("status", Spp_obs.Field.String (status_label status)) :: pf)
+          ~fields:(("status", Spp_util.Json.String (status_label status)) :: pf)
           tr s)
       s;
     ( { solver = spec.Portfolio.name; status; height; time_ms = Clock.elapsed_ms t0 },

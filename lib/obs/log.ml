@@ -1,3 +1,5 @@
+module Json = Spp_util.Json
+
 type level = Debug | Info | Warn | Error
 
 let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
@@ -56,13 +58,16 @@ let enabled lvl = severity lvl >= severity state.lvl
 
 let emit lvl msg fields =
   if enabled lvl then begin
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\"ts\":%.3f,\"level\":\"%s\",\"msg\":\"%s\"" (Unix.gettimeofday ())
-         (level_to_string lvl) (Field.escape msg));
-    Field.add_fields buf fields;
-    Buffer.add_string buf "}\n";
-    let line = Buffer.contents buf in
+    (* Millisecond timestamps: the round-trip float form of a rounded
+       value stays short. *)
+    let ts = Float.round (Unix.gettimeofday () *. 1000.0) /. 1000.0 in
+    let line =
+      Json.to_string
+        (Json.Obj
+           (("ts", Json.Float ts) :: ("level", Json.String (level_to_string lvl))
+            :: ("msg", Json.String msg) :: fields))
+      ^ "\n"
+    in
     locked (fun () ->
         try
           output_string state.chan line;

@@ -27,8 +27,8 @@ val set_file : string -> unit
 (** Apply [SPP_LOG] if set; warns on stderr about unknown values. *)
 val init_from_env : unit -> unit
 
-val emit : level -> string -> (string * Field.t) list -> unit
-val debug : string -> (string * Field.t) list -> unit
-val info : string -> (string * Field.t) list -> unit
-val warn : string -> (string * Field.t) list -> unit
-val error : string -> (string * Field.t) list -> unit
+val emit : level -> string -> (string * Spp_util.Json.t) list -> unit
+val debug : string -> (string * Spp_util.Json.t) list -> unit
+val info : string -> (string * Spp_util.Json.t) list -> unit
+val warn : string -> (string * Spp_util.Json.t) list -> unit
+val error : string -> (string * Spp_util.Json.t) list -> unit

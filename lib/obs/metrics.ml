@@ -244,7 +244,7 @@ let labels_to_string labels =
   | _ ->
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (Field.escape v)) labels)
+        (List.map (fun (k, v) -> k ^ "=" ^ Spp_util.Json.to_string (Spp_util.Json.String v)) labels)
     ^ "}"
 
 let counters t =

@@ -1,11 +1,12 @@
 module Clock = Spp_util.Clock
 module Prng = Spp_util.Prng
+module Json = Spp_util.Json
 
 type span = {
   s_name : string;
   s_start_ms : float;  (* relative to the trace epoch *)
   mutable s_dur_ms : float option;
-  mutable s_fields : (string * Field.t) list;
+  mutable s_fields : (string * Json.t) list;
   mutable s_children : span list;  (* newest first *)
 }
 
@@ -73,7 +74,7 @@ let with_span t ~parent name f =
     finish t s;
     v
   | exception e ->
-    finish ~fields:[ ("outcome", Field.String "raised") ] t s;
+    finish ~fields:[ ("outcome", Json.String "raised") ] t s;
     raise e
 
 let add_fields t s fields = locked t (fun () -> s.s_fields <- s.s_fields @ fields)
@@ -91,7 +92,7 @@ type imported = {
   i_name : string;
   i_start_ms : float;
   i_dur_ms : float option;
-  i_fields : (string * Field.t) list;
+  i_fields : (string * Json.t) list;
   i_children : imported list;  (* chronological *)
 }
 
@@ -115,44 +116,40 @@ let total_ms t =
   | None -> Clock.elapsed_ms t.epoch_ms
 
 (* ------------------------------------------------------------------ *)
-(* Serialisation. Children are stored newest-first; emit chronological. *)
+(* The JSON tree, both directions. Children are stored newest-first;
+   emit chronological. *)
 
-let to_json t =
-  let buf = Buffer.create 512 in
-  let rec emit s =
-    Buffer.add_string buf
-      (Printf.sprintf "{\"name\":\"%s\",\"start_ms\":%s" (Field.escape s.s_name)
-         (Field.to_json (Field.Float s.s_start_ms)));
-    (match s.s_dur_ms with
-     | Some d -> Buffer.add_string buf (Printf.sprintf ",\"ms\":%s" (Field.to_json (Field.Float d)))
-     | None -> ());
-    (match s.s_fields with
-     | [] -> ()
-     | fields ->
-       Buffer.add_string buf ",\"fields\":{";
-       List.iteri
-         (fun i (k, v) ->
-           if i > 0 then Buffer.add_char buf ',';
-           Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (Field.escape k) (Field.to_json v)))
-         fields;
-       Buffer.add_char buf '}');
-    (match List.rev s.s_children with
-     | [] -> ()
-     | children ->
-       Buffer.add_string buf ",\"spans\":[";
-       List.iteri
-         (fun i c ->
-           if i > 0 then Buffer.add_char buf ',';
-           emit c)
-         children;
-       Buffer.add_char buf ']');
-    Buffer.add_char buf '}'
+let json t =
+  let rec node s =
+    Json.Obj
+      ((("name", Json.String s.s_name) :: ("start_ms", Json.Float s.s_start_ms)
+        :: (match s.s_dur_ms with Some d -> [ ("ms", Json.Float d) ] | None -> []))
+       @ (match s.s_fields with [] -> [] | fs -> [ ("fields", Json.Obj fs) ])
+       @
+       match s.s_children with
+       | [] -> []
+       | cs -> [ ("spans", Json.List (List.rev_map node cs)) ])
   in
-  locked t (fun () ->
-      Buffer.add_string buf (Printf.sprintf "{\"trace_id\":\"%s\",\"root\":" (Field.escape t.trace_id));
-      emit t.s_root;
-      Buffer.add_char buf '}');
-  Buffer.contents buf
+  locked t (fun () -> Json.Obj [ ("trace_id", Json.String t.trace_id); ("root", node t.s_root) ])
+
+let to_json t = Json.to_string (json t)
+
+let imported_of_json j =
+  let rec node j =
+    match Json.member "name" j with
+    | Some (Json.String name) ->
+      let num k = Option.bind (Json.member k j) Json.get_float in
+      Some
+        { i_name = name;
+          i_start_ms = Option.value (num "start_ms") ~default:0.0;
+          i_dur_ms = num "ms";
+          i_fields = (match Json.member "fields" j with Some (Json.Obj fs) -> fs | _ -> []);
+          i_children =
+            List.filter_map node
+              (Option.value (Option.bind (Json.member "spans" j) Json.get_list) ~default:[]) }
+    | _ -> None
+  in
+  Option.bind (Json.member "root" j) node
 
 let render t =
   let buf = Buffer.create 512 in
@@ -160,10 +157,9 @@ let render t =
     Printf.sprintf "%s=%s"
       k
       (match v with
-       | Field.String s -> s
-       | Field.Int i -> string_of_int i
-       | Field.Float f -> Printf.sprintf "%.6g" f
-       | Field.Bool b -> string_of_bool b)
+       | Json.String s -> s
+       | Json.Float f -> Printf.sprintf "%.6g" f
+       | v -> Json.to_string v)
   in
   let rec emit prefix is_last s =
     let dur =

@@ -5,7 +5,9 @@
     serving stack opens a trace at admission (honouring a client-supplied
     id), threads it through the queue, the worker pool, the engine, and
     each racing algorithm, then renders it — as an ASCII tree for
-    [spp trace], or as one JSON line for the slow-request log.
+    [spp trace], or as a JSON tree for replies and the slow-request log.
+    This module is the only one that knows the tree's JSON shape: it
+    builds it ({!json}) and reads it back ({!imported_of_json}).
 
     All mutation is under the trace's mutex, so racing domains may open
     and finish sibling spans concurrently. *)
@@ -29,26 +31,26 @@ val span : t -> parent:span -> string -> span
 
 (** [finish t s] stamps the duration (first call wins) and appends
     [fields]. *)
-val finish : ?fields:(string * Field.t) list -> t -> span -> unit
+val finish : ?fields:(string * Spp_util.Json.t) list -> t -> span -> unit
 
 (** [with_span t ~parent name f] runs [f] inside a fresh span, finishing
     it on the way out ([outcome=raised] is recorded when [f] escapes with
     an exception, which is re-raised). *)
 val with_span : t -> parent:span -> string -> (span -> 'a) -> 'a
 
-val add_fields : t -> span -> (string * Field.t) list -> unit
+val add_fields : t -> span -> (string * Spp_util.Json.t) list -> unit
 
 (** Start offset of [s] relative to the trace epoch, in ms. *)
 val start_ms : span -> float
 
 (** A span tree recorded by {e another} process, to be adopted into this
-    trace — the shape of the [root] object in {!to_json} output.
-    [i_children] are chronological. *)
+    trace — the [root] object of {!json}. [i_children] are
+    chronological. *)
 type imported = {
   i_name : string;
   i_start_ms : float;  (** relative to the remote trace's epoch *)
   i_dur_ms : float option;
-  i_fields : (string * Field.t) list;
+  i_fields : (string * Spp_util.Json.t) list;
   i_children : imported list;
 }
 
@@ -60,14 +62,23 @@ type imported = {
 val graft : t -> parent:span -> offset_ms:float -> imported -> unit
 
 (** [close t] finishes the root span. *)
-val close : ?fields:(string * Field.t) list -> t -> unit
+val close : ?fields:(string * Spp_util.Json.t) list -> t -> unit
 
 (** Root duration if closed, else elapsed-so-far. *)
 val total_ms : t -> float
 
-(** One JSON line:
-    [{"trace_id":...,"root":{"name":...,"start_ms":...,"ms":...,
-    "fields":{...},"spans":[...]}}]. *)
+(** [imported_of_json j] decodes the [root] of a {!json} tree. Nodes
+    without a [name] are dropped with their subtrees: a trace is best
+    effort and must never fail the request that carries it. *)
+val imported_of_json : Spp_util.Json.t -> imported option
+
+(** The tree as a JSON value: an object with the trace id and the root
+    span. Each span is an object with its name, start offset, duration
+    in ms (absent while the span is open), its fields, and its child
+    spans in chronological order. *)
+val json : t -> Spp_util.Json.t
+
+(** [to_json t] is [Json.to_string (json t)]: one line. *)
 val to_json : t -> string
 
 (** Human-readable tree with durations, offsets, and span fields. *)

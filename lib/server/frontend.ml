@@ -2,7 +2,7 @@ module Clock = Spp_util.Clock
 module Metrics = Spp_obs.Metrics
 module Trace = Spp_obs.Trace
 module Log = Spp_obs.Log
-module Field = Spp_obs.Field
+module Json = Spp_util.Json
 
 type config = {
   address : Framing.address;
@@ -131,11 +131,11 @@ let finish_trace t tr =
   match t.slow_ms with
   | Some thr when total >= thr ->
     Log.warn "slow request"
-      [ ("trace_id", Field.String (Trace.id tr)); ("ms", Field.Float total);
-        ("trace", Field.String (Trace.to_json tr)) ]
+      [ ("trace_id", Json.String (Trace.id tr)); ("ms", Json.Float total);
+        ("trace", Trace.json tr) ]
   | _ ->
     if Log.enabled Log.Debug then
-      Log.debug "request" [ ("trace_id", Field.String (Trace.id tr)); ("ms", Field.Float total) ]
+      Log.debug "request" [ ("trace_id", Json.String (Trace.id tr)); ("ms", Json.Float total) ]
 
 let serve_conn t h conn =
   Metrics.incr t.mx.m_connections;
@@ -153,7 +153,7 @@ let serve_conn t h conn =
     in
     Option.iter
       (fun (tr, s) ->
-        Trace.finish ~fields:[ ("bytes", Field.Int (String.length line + 1)) ] tr s)
+        Trace.finish ~fields:[ ("bytes", Json.Int (String.length line + 1)) ] tr s)
       span;
     Metrics.incr ~by:(String.length line + 1) t.mx.m_bytes_out;
     Metrics.observe t.mx.m_response_bytes (float_of_int (String.length line + 1));

@@ -96,7 +96,7 @@ let start ?(host = "127.0.0.1") ~port registry =
   let t = { listen_fd; port; stopping = Atomic.make false; thread = None } in
   t.thread <- Some (Thread.create (fun () -> accept_loop t registry) ());
   Log.info "metrics endpoint listening"
-    [ ("host", Spp_obs.Field.String host); ("port", Spp_obs.Field.Int port) ];
+    [ ("host", Spp_util.Json.String host); ("port", Spp_util.Json.Int port) ];
   t
 
 let port t = t.port

@@ -58,7 +58,7 @@ let start ?(max_restarts = default_max_restarts) ?on_crash ~workers f q =
   let slot_down () =
     if Atomic.fetch_and_add live (-1) = 1 && not (Bqueue.is_closed q) then begin
       Log.error "worker pool dead: all restart budgets exhausted"
-        [ ("workers", Spp_obs.Field.Int workers) ];
+        [ ("workers", Spp_util.Json.Int workers) ];
       drain_dead ()
     end
   in
@@ -75,15 +75,15 @@ let start ?(max_restarts = default_max_restarts) ?on_crash ~workers f q =
         else if spent < max_restarts then begin
           Atomic.incr restarts;
           Log.warn "worker domain died; restarting"
-            [ ("slot", Spp_obs.Field.Int slot);
-              ("error", Spp_obs.Field.String (Printexc.to_string exn));
-              ("restarts_left", Spp_obs.Field.Int (max_restarts - spent - 1)) ];
+            [ ("slot", Spp_util.Json.Int slot);
+              ("error", Spp_util.Json.String (Printexc.to_string exn));
+              ("restarts_left", Spp_util.Json.Int (max_restarts - spent - 1)) ];
           run (spent + 1)
         end
         else begin
           Log.error "worker slot out of restart budget"
-            [ ("slot", Spp_obs.Field.Int slot);
-              ("error", Spp_obs.Field.String (Printexc.to_string exn)) ];
+            [ ("slot", Spp_util.Json.Int slot);
+              ("error", Spp_util.Json.String (Printexc.to_string exn)) ];
           slot_down ()
         end
     in

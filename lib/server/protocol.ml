@@ -1,3 +1,5 @@
+module Json = Spp_util.Json
+
 type request =
   | Solve of {
       instance : string;

@@ -6,7 +6,7 @@ module Clock = Spp_util.Clock
 module Metrics = Spp_obs.Metrics
 module Trace = Spp_obs.Trace
 module Log = Spp_obs.Log
-module Field = Spp_obs.Field
+module Json = Spp_util.Json
 
 type config = {
   frontend : Frontend.config;
@@ -102,17 +102,11 @@ let process cfg mx (job : job) =
           ?trace:job.trace cfg.engine job.parsed
       with
       | r ->
-        (* The reply-embedded tree is serialised here, after the engine
-           spans closed but before reply.write and the root close — those
-           belong to the requester's side of the timeline (the proxy's
-           upstream span covers them). to_json renders open spans without
-           an "ms" field, so the open root is fine. *)
-        let trace =
-          if job.wants_trace then
-            Option.bind job.trace (fun tr ->
-                Result.to_option (Json.of_string (Trace.to_json tr)))
-          else None
-        in
+        (* The reply-embedded tree is built here, after the engine spans
+           closed but before reply.write and the root close — those belong
+           to the requester's side of the timeline (the proxy's upstream
+           span covers them). An open root simply has no "ms" field. *)
+        let trace = if job.wants_trace then Option.map Trace.json job.trace else None in
         if r.Engine.degraded then Metrics.incr mx.m_degraded;
         Protocol.Solve_ok
           { winner = r.Engine.winner; source = source_to_string r.Engine.source;
@@ -223,7 +217,7 @@ let solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
           Metrics.incr t.mx.m_shed;
           (match (trace, queue_span) with
            | Some tr, Some s ->
-             Trace.finish ~fields:[ ("outcome", Field.String "shed") ] tr s
+             Trace.finish ~fields:[ ("outcome", Json.String "shed") ] tr s
            | _ -> ());
           if Bqueue.is_closed t.queue then
             (* The pool died (every slot out of restart budget): shed
@@ -306,8 +300,8 @@ let start cfg =
   Frontend.serve fe
     { solve = solve t; cache_capacity = Engine.cache_capacity cfg.engine; metrics = metrics t };
   Log.info "server listening"
-    [ ("address", Field.String (Framing.address_to_string cfg.frontend.address));
-      ("workers", Field.Int cfg.workers); ("queue_depth", Field.Int cfg.queue_depth) ];
+    [ ("address", Json.String (Framing.address_to_string cfg.frontend.address));
+      ("workers", Json.Int cfg.workers); ("queue_depth", Json.Int cfg.queue_depth) ];
   t
 
 let wait t =

@@ -4,7 +4,7 @@ module Rect = Spp_geom.Rect
 module Placement = Spp_geom.Placement
 module Metrics = Spp_obs.Metrics
 module Trace = Spp_obs.Trace
-module Field = Spp_obs.Field
+module Json = Spp_util.Json
 
 type repack_event = {
   at : Q.t;
@@ -162,11 +162,11 @@ let run ?registry ?trace ?repack_threshold ?(migration_cost = Q.one) ?(exact_rep
           let r = go () in
           Trace.add_fields tr sp
             [
-              ("packer", Field.String (Online.to_string packer));
-              ("tasks", Field.Int r.tasks);
-              ("makespan", Field.String (Q.to_string r.makespan));
-              ("repacks", Field.Int (List.length r.repacks));
-              ("cells_migrated", Field.Int r.cells_migrated);
+              ("packer", Json.String (Online.to_string packer));
+              ("tasks", Json.Int r.tasks);
+              ("makespan", Json.String (Q.to_string r.makespan));
+              ("repacks", Json.Int (List.length r.repacks));
+              ("cells_migrated", Json.Int r.cells_migrated);
             ];
           r)
   in

@@ -1,7 +1,8 @@
-(** Minimal JSON values, parser and printer for the wire protocol.
+(** Minimal JSON values, parser and printer: the one codec behind the
+    wire protocol, the structured log and the trace span trees.
 
-    The repository is dependency-sealed (no yojson), so the serving layer
-    carries its own JSON: the full value grammar, one-line compact
+    The repository is dependency-sealed (no yojson), so it carries its
+    own JSON: the full value grammar, one-line compact
     printing, and a recursive-descent parser that returns [Error] instead
     of raising on malformed input — a junk byte from a client must become
     an error reply, never a crash.

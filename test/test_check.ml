@@ -171,6 +171,15 @@ let slice variant () =
   Alcotest.(check bool) "every case was generated" true (report.Runner.cases = 12);
   Alcotest.(check bool) "some checks actually ran" true (report.Runner.checks > 0)
 
+(* The wire-decoder property on its own, over more cases than a slice. *)
+let test_json_decode_property () =
+  let arb = Arb.parsed ~variant:`Both in
+  let report = Runner.run ~cases:200 ~seed:11 arb (Props.select ~algos:[ "json" ] ~variant:`Both ()) in
+  if report.Runner.failures <> [] then
+    Alcotest.failf "property violations:\n%s" (pp_failures arb report.Runner.failures);
+  Alcotest.(check (list (pair string int))) "json.decode ran on every case"
+    [ ("json.decode", 200) ] report.Runner.per_property
+
 (* ------------------------------------------------------------------ *)
 (* Shrinker and mutation contracts *)
 
@@ -313,6 +322,7 @@ let () =
         [
           Alcotest.test_case "prec properties, fixed seed" `Quick (slice `Prec);
           Alcotest.test_case "release properties, fixed seed" `Quick (slice `Release);
+          Alcotest.test_case "json.decode, 200 cases" `Quick test_json_decode_property;
         ] );
       ( "shrink-mutate",
         [

@@ -13,7 +13,7 @@ module Generators = Spp_workloads.Generators
 module Engine = Spp_engine.Engine
 module Metrics = Spp_obs.Metrics
 module Framing = Spp_server.Framing
-module Json = Spp_server.Json
+module Json = Spp_util.Json
 module Protocol = Spp_server.Protocol
 module Server = Spp_server.Server
 module Client = Spp_server.Client

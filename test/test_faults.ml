@@ -4,7 +4,8 @@
    worker death answered with structured errors and a restarted pool,
    overload replies carrying retry hints, and the retrying client
    converging through all of it; and both daemons (server and proxy)
-   surviving hostile clients — idle, trickling, oversized.
+   surviving hostile clients — idle, trickling, oversized, garbage and
+   truncated lines.
 
    Fault state is process-global; every test that arms it clears it in a
    [Fun.protect] finaliser so cases stay independent (alcotest runs them
@@ -467,6 +468,32 @@ let test_hostile_clients start () =
            message
        | _ -> Alcotest.fail "oversized line did not get a parse error reply");
       Alcotest.(check bool) "closed after the refusal" true (read_reply reader = None);
+      Unix.close fd;
+      (* Garbage and truncated NDJSON: a structured parse error for each
+         line, and the same connection still answers a valid request. *)
+      let valid =
+        Protocol.encode_request
+          (Protocol.Solve
+             { instance = Io.prec_to_string (random_prec 5 4); budget_ms = Some 50.0;
+               deadline_ms = None; algos = None; trace_id = Some "t1" })
+      in
+      let fd = Framing.connect d.d_address in
+      let reader = Framing.reader fd in
+      List.iter
+        (fun line ->
+          Framing.write_line fd line;
+          match Option.map Protocol.decode_response (read_reply reader) with
+          | Some (Ok (Protocol.Error { code = Protocol.Parse; _ })) -> ()
+          | _ -> Alcotest.failf "no structured parse error for %S" line)
+        [ "\x00\xff\xfe garbage \x7f"; "}{"; "not json"; "[]"; {|{"op":"solve"}|};
+          String.sub valid 0 (String.length valid / 2);
+          String.sub valid 0 (String.length valid - 1);
+          {|{"op":"solve","instance":"","budget_ms":|} ^ String.make 400 '9' ^ "}";
+          String.make 200 '[' ^ String.make 200 ']' ];
+      Framing.write_line fd (Protocol.encode_request Protocol.Health);
+      (match Option.map Protocol.decode_response (read_reply reader) with
+       | Some (Ok (Protocol.Health_ok _)) -> ()
+       | _ -> Alcotest.fail "connection unusable after malformed lines");
       Unix.close fd;
       (* A well-behaved client is still served. *)
       match Client.with_connection d.d_address (fun c -> Client.request c Protocol.Health) with

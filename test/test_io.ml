@@ -245,6 +245,31 @@ let test_cli_parse_error_hint () =
       Alcotest.(check bool) "names the offending line" true (contains_substring text "line 1");
       Alcotest.(check bool) "carries a hint" true (contains_substring text "hint:"))
 
+(* Every subcommand's manual renders: cmdliner reports a malformed doc
+   string (say, an illegal escape) as "cmdliner error" on the help
+   output, yet still exits 0. *)
+let test_cli_help_renders () =
+  let out = Filename.temp_file "spp_help" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun cmd ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s --help=plain >%s 2>&1" (Filename.quote spp_exe) cmd
+                 (Filename.quote out))
+          in
+          let ic = open_in_bin out in
+          let text = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          Alcotest.(check int) (Printf.sprintf "spp %s --help exits 0" cmd) 0 code;
+          if contains_substring text "cmdliner error" then
+            Alcotest.failf "spp %s --help=plain: %s" cmd
+              (List.hd (String.split_on_char '\n' text)))
+        [ ""; "gen"; "pack"; "solve"; "batch"; "aptas"; "bounds"; "exact"; "simulate"; "online";
+          "sim"; "verify"; "serve"; "proxy"; "client"; "loadgen"; "trace"; "top"; "fuzz" ])
+
 (* Library-level contract behind the CLI classification. *)
 let test_error_exceptions () =
   (match Io.parse_string "rect 0 x 1\n" with
@@ -272,6 +297,7 @@ let () =
           Alcotest.test_case "parse error exit code" `Quick test_cli_parse_error_exit;
           Alcotest.test_case "io error exit code" `Quick test_cli_io_error_exit;
           Alcotest.test_case "parse error hint" `Quick test_cli_parse_error_hint;
+          Alcotest.test_case "every --help renders" `Quick test_cli_help_renders;
           Alcotest.test_case "library exceptions" `Quick test_error_exceptions;
         ] );
       ( "roundtrip",

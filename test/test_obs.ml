@@ -11,12 +11,11 @@ module Profile = Spp_obs.Profile
 module Runtime = Spp_obs.Runtime
 module Trace = Spp_obs.Trace
 module Log = Spp_obs.Log
-module Field = Spp_obs.Field
 module Prng = Spp_util.Prng
 module Io = Spp_core.Io
 module Generators = Spp_workloads.Generators
 module Engine = Spp_engine.Engine
-module Json = Spp_server.Json
+module Json = Spp_util.Json
 module Protocol = Spp_server.Protocol
 module Framing = Spp_server.Framing
 module Server = Spp_server.Server
@@ -330,14 +329,14 @@ let test_trace_span_tree () =
   let solved =
     Trace.with_span t ~parent:root "solve" (fun solve ->
         let v = Trace.span t ~parent:solve "validate" in
-        Trace.finish ~fields:[ ("ok", Field.Bool true) ] t v;
+        Trace.finish ~fields:[ ("ok", Json.Bool true) ] t v;
         17)
   in
   Alcotest.(check int) "with_span returns" 17 solved;
   (match Trace.with_span t ~parent:root "boom" (fun _ -> failwith "kaput") with
    | exception Failure _ -> ()
    | _ -> Alcotest.fail "exception swallowed");
-  Trace.close ~fields:[ ("winner", Field.String "dc") ] t;
+  Trace.close ~fields:[ ("winner", Json.String "dc") ] t;
   Alcotest.(check bool) "total stamped" true (Trace.total_ms t >= 0.0);
   let js = Trace.to_json t in
   Alcotest.(check bool) "one line" false (String.contains js '\n');
@@ -374,17 +373,22 @@ let test_trace_finish_idempotent () =
      are unchanged, so the whole encoding is identical). *)
   Alcotest.(check string) "duration stamped once" js1 (Trace.to_json t)
 
+(* Decode a tree in the reply-embedded shape, the way the proxy does. *)
+let imported_of_text text =
+  match Result.map Trace.imported_of_json (Json.of_string text) with
+  | Ok (Some imp) -> imp
+  | Ok None -> Alcotest.failf "no root span in %s" text
+  | Error e -> Alcotest.failf "bad json: %s" e
+
 let test_trace_graft_rebases_offsets () =
   let t = Trace.create ~id:"feedface01020304" ~name:"proxy" () in
   let up = Trace.span t ~parent:(Trace.root t) "upstream" in
   let remote =
-    { Trace.i_name = "request"; i_start_ms = 0.0; i_dur_ms = Some 12.0;
-      i_fields = [ ("winner", Field.String "dc") ];
-      i_children =
-        [ { Trace.i_name = "race"; i_start_ms = 2.5; i_dur_ms = Some 9.0;
-            i_fields = [ ("bb_nodes", Field.Int 28) ]; i_children = [] };
-          { Trace.i_name = "open.span"; i_start_ms = 3.0; i_dur_ms = None;
-            i_fields = []; i_children = [] } ] }
+    imported_of_text
+      {|{"trace_id":"0123456789abcdef","root":{"name":"request","start_ms":0,"ms":12,
+        "fields":{"winner":"dc"},"spans":[
+          {"name":"race","start_ms":2.5,"ms":9.0,"fields":{"bb_nodes":28}},
+          {"name":"open.span","start_ms":3.0}]}}|}
   in
   let offset = Trace.start_ms up in
   Trace.graft t ~parent:up ~offset_ms:offset remote;
@@ -427,6 +431,51 @@ let test_trace_graft_rebases_offsets () =
   match List.map (fun s -> Json.member "name" s) (spans request) with
   | [ Some (Json.String "race"); Some (Json.String "open.span") ] -> ()
   | _ -> Alcotest.failf "grafted children out of order: %s" js
+
+(* The tree codec both ways: what [Trace.json] writes,
+   [Trace.imported_of_json] reads back and [graft] re-adopts unchanged. *)
+let test_trace_codec_roundtrip () =
+  let t = Trace.create ~id:"c0dec" ~name:"request" () in
+  let root = Trace.root t in
+  Trace.finish
+    ~fields:
+      [ ("winner", Json.String "dc \"quoted\"\n"); ("nodes", Json.Int (-7));
+        ("ratio", Json.Float 0.1); ("degraded", Json.Bool false) ]
+    t (Trace.span t ~parent:root "race");
+  let solve = Trace.span t ~parent:root "solve" in
+  ignore (Trace.span t ~parent:solve "still.open");
+  Trace.finish ~fields:[ ("big", Json.Float 1234567.891011) ] t solve;
+  let original = Trace.json t in
+  let imp =
+    match Trace.imported_of_json original with
+    | Some imp -> imp
+    | None -> Alcotest.fail "no root decoded"
+  in
+  Alcotest.(check (list string)) "children in order" [ "race"; "solve" ]
+    (List.map (fun i -> i.Trace.i_name) imp.Trace.i_children);
+  let race = List.hd imp.Trace.i_children in
+  Alcotest.(check bool) "every field kind decoded" true
+    (race.Trace.i_fields
+     = [ ("winner", Json.String "dc \"quoted\"\n"); ("nodes", Json.Int (-7));
+         ("ratio", Json.Float 0.1); ("degraded", Json.Bool false) ]);
+  let still_open = List.hd (List.nth imp.Trace.i_children 1).Trace.i_children in
+  Alcotest.(check bool) "open span stays open" true (still_open.Trace.i_dur_ms = None);
+  Alcotest.(check bool) "open root stays open" true (imp.Trace.i_dur_ms = None);
+  (* Grafted at offset 0 under a fresh root, the subtree re-encodes to
+     exactly the original root: names, offsets, durations and fields. *)
+  let t2 = Trace.create ~name:"proxy" () in
+  Trace.graft t2 ~parent:(Trace.root t2) ~offset_ms:0.0 imp;
+  let grafted =
+    match Option.bind (Json.member "root" (Trace.json t2)) (Json.member "spans") with
+    | Some (Json.List [ node ]) -> node
+    | _ -> Alcotest.fail "grafted subtree missing"
+  in
+  Alcotest.(check string) "graft reproduces the tree"
+    (Json.to_string (Option.get (Json.member "root" original)))
+    (Json.to_string grafted);
+  (* And the text form decodes to the same value. *)
+  Alcotest.(check bool) "to_json parses back to json" true
+    (Json.of_string (Trace.to_json t) = Ok original)
 
 (* ------------------------------------------------------------------ *)
 (* Trace id over the wire *)
@@ -538,8 +587,8 @@ let test_log_levels_and_shape () =
       Alcotest.(check bool) "error enabled at warn" true (Log.enabled Log.Error);
       Log.debug "hidden" [];
       Log.info "hidden too" [];
-      Log.warn "shown" [ ("n", Field.Int 3); ("f", Field.Float 0.5); ("b", Field.Bool true) ];
-      Log.error "also shown" [ ("msg", Field.String "a\"b\nc") ];
+      Log.warn "shown" [ ("n", Json.Int 3); ("f", Json.Float 0.5); ("b", Json.Bool true) ];
+      Log.error "also shown" [ ("msg", Json.String "a\"b\nc") ];
       let out = read_file path in
       Alcotest.(check bool) "below-threshold dropped" false (contains ~needle:"hidden" out);
       let lines = String.split_on_char '\n' (String.trim out) in
@@ -574,7 +623,19 @@ let test_slow_request_log () =
       List.iter
         (fun needle ->
           Alcotest.(check bool) (Printf.sprintf "log has %S" needle) true (contains ~needle out))
-        [ "slow request"; "slowslowslowslow"; "queue.wait"; "solve" ])
+        [ "slow request"; "slowslowslowslow"; "queue.wait"; "solve" ];
+      (* The tree rides as a JSON object, not a string of escaped JSON. *)
+      let slow =
+        List.find_map
+          (fun l ->
+            match Json.of_string l with
+            | Ok j when Json.member "msg" j = Some (Json.String "slow request") -> Some j
+            | _ -> None)
+          (String.split_on_char '\n' out)
+      in
+      match Option.map (fun j -> Option.bind (Json.member "trace" j) Trace.imported_of_json) slow with
+      | Some (Some imp) -> Alcotest.(check string) "trace root" "request" imp.Trace.i_name
+      | _ -> Alcotest.failf "no slow-request line with a trace object in %s" out)
 
 let () =
   Alcotest.run "spp_obs"
@@ -611,6 +672,7 @@ let () =
           Alcotest.test_case "finish is idempotent" `Quick test_trace_finish_idempotent;
           Alcotest.test_case "graft rebases remote offsets" `Quick
             test_trace_graft_rebases_offsets;
+          Alcotest.test_case "codec round trip" `Quick test_trace_codec_roundtrip;
           Alcotest.test_case "trace id wire round-trip" `Quick test_trace_id_wire_roundtrip;
           Alcotest.test_case "live server echoes trace id" `Quick test_trace_id_live_echo;
         ] );

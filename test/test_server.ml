@@ -9,7 +9,7 @@ module I = Spp_core.Instance
 module Validate = Spp_core.Validate
 module Generators = Spp_workloads.Generators
 module Engine = Spp_engine.Engine
-module Json = Spp_server.Json
+module Json = Spp_util.Json
 module Protocol = Spp_server.Protocol
 module Framing = Spp_server.Framing
 module Bqueue = Spp_server.Bqueue
@@ -26,7 +26,9 @@ let test_json_basics () =
   check_rt "bools" (Json.List [ Json.Bool true; Json.Bool false ]);
   check_rt "ints" (Json.List [ Json.Int 0; Json.Int (-42); Json.Int max_int; Json.Int min_int ]);
   check_rt "floats"
-    (Json.List [ Json.Float 0.5; Json.Float (-1.25e-3); Json.Float 2.0; Json.Float 1e300 ]);
+    (Json.List
+       [ Json.Float 0.5; Json.Float (-1.25e-3); Json.Float 2.0; Json.Float 1e300;
+         Json.Float 1234567890123456.0 ]);
   check_rt "nested"
     (Json.Obj [ ("a", Json.List [ Json.Obj [ ("b", Json.Null) ] ]); ("c", Json.Int 1) ]);
   Alcotest.(check string) "float keeps .0" "2.0" (Json.to_string (Json.Float 2.0));
@@ -80,7 +82,8 @@ let test_json_junk_never_raises () =
   List.iter
     (fun s -> Alcotest.(check bool) (Printf.sprintf "reject %S" s) true (is_err s))
     [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated"; "\"bad \\q escape\"";
-      "{\"a\":1,}"; "nulll"; "\xff\xfe"; String.make 200 '[' ^ String.make 200 ']' ]
+      "{\"a\":1,}"; "nulll"; "\xff\xfe"; String.make 200 '[' ^ String.make 200 ']'; "1e400";
+      String.make 400 '9' ]
 
 (* ------------------------------------------------------------------ *)
 (* Protocol *)
